@@ -1,21 +1,23 @@
 """Sharp bounds on harm/benefit probabilities and treatment effects.
 
-Experimental-only bounds use the classical closed forms; everything the
-closed forms claim is pinned to the LP oracle by the test suite.  Fused
-marginal bounds are computed by the oracle directly, and fused conditional
-bounds reduce to two-marginal (Frechet) bounds because both within-stratum
-potential-outcome risks are point identified.
+Every bound is a closed form over the identified strata of
+`identification.identify`.  Within a stratum both potential-outcome risks
+are identified, so harm and benefit there have the two-marginal (Frechet)
+bounds; the marginal bounds are their mass-weighted sums.  Without
+natural-choice data the one stratum is the whole population, which gives
+the classical experimental bounds.  The test suite pins every closed form
+to an independent LP oracle (exact vertex enumeration over the joints
+consistent with the evidence), which no runtime module imports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
-from . import lp_oracle
-from .errors import IncompatibleEvidence, MissingObservational, NullStratum
-from .identification import compatibility_check, identify_cate, identify_stratum_risks
+from .errors import MissingObservational
+from .identification import identify, identify_cate, identify_stratum_risks
 from .model import ExperimentalParams, ObservationalParams, ONE, ZERO
 
 
@@ -49,33 +51,30 @@ def is_point_identified(interval: Interval) -> bool:
     return interval.lower == interval.upper
 
 
-def _require_compatible(evidence: EvidenceSet) -> None:
-    if evidence.p1 is not None:
-        report = compatibility_check(evidence.p0, evidence.p1)
-        if not report.compatible:
-            raise IncompatibleEvidence("; ".join(report.violations))
+def _frechet(first: Fraction, second: Fraction) -> tuple[Fraction, Fraction]:
+    """Sharp bounds on P(U=1, V=0) given only P(U=1) = first and P(V=1) = second."""
+    return max(ZERO, first - second), min(first, 1 - second)
+
+
+def _mixture(parts: Iterable[tuple[Fraction, tuple[Fraction, Fraction]]]) -> Interval:
+    """The mass-weighted sum of per-stratum (lower, upper) bounds."""
+    lower = upper = ZERO
+    for mass, (lo, hi) in parts:
+        lower += mass * lo
+        upper += mass * hi
+    return Interval(lower, upper)
 
 
 def harm_bounds(evidence: EvidenceSet) -> Interval:
     """Sharp bounds on P(Y^{a=1}=1, Y^{a=0}=0)."""
-    _require_compatible(evidence)
-    p0 = evidence.p0
-    if evidence.p1 is None:
-        return Interval(
-            max(ZERO, p0.p_do1 - p0.p_do0), min(p0.p_do1, 1 - p0.p_do0)
-        )
-    return lp_oracle.sharp_interval(evidence, "harm")
+    strata = identify(evidence.p0, evidence.p1)
+    return _mixture((s.mass, _frechet(s.risk1, s.risk0)) for s in strata)
 
 
 def benefit_bounds(evidence: EvidenceSet) -> Interval:
     """Sharp bounds on P(Y^{a=1}=0, Y^{a=0}=1)."""
-    _require_compatible(evidence)
-    p0 = evidence.p0
-    if evidence.p1 is None:
-        return Interval(
-            max(ZERO, p0.p_do0 - p0.p_do1), min(p0.p_do0, 1 - p0.p_do1)
-        )
-    return lp_oracle.sharp_interval(evidence, "benefit")
+    strata = identify(evidence.p0, evidence.p1)
+    return _mixture((s.mass, _frechet(s.risk0, s.risk1)) for s in strata)
 
 
 def _stratum_risks(evidence: EvidenceSet, astar: int) -> tuple[Fraction, Fraction]:
@@ -87,19 +86,18 @@ def _stratum_risks(evidence: EvidenceSet, astar: int) -> tuple[Fraction, Fractio
 def conditional_harm_bounds(evidence: EvidenceSet, astar: int) -> Interval:
     """Sharp bounds on P(harm | A*=astar): Frechet bounds on identified risks."""
     risk1, risk0 = _stratum_risks(evidence, astar)
-    return Interval(max(ZERO, risk1 - risk0), min(risk1, 1 - risk0))
+    return Interval(*_frechet(risk1, risk0))
 
 
 def conditional_benefit_bounds(evidence: EvidenceSet, astar: int) -> Interval:
     """Sharp bounds on P(benefit | A*=astar)."""
     risk1, risk0 = _stratum_risks(evidence, astar)
-    return Interval(max(ZERO, risk0 - risk1), min(risk0, 1 - risk1))
+    return Interval(*_frechet(risk0, risk1))
 
 
 def ate_bounds(evidence: EvidenceSet) -> Interval:
-    """The marginal ATE is identified by the experiment; the interval is a point."""
-    _require_compatible(evidence)
-    ate = evidence.p0.p_do1 - evidence.p0.p_do0
+    """The marginal ATE, the mass-weighted sum of the stratum ATEs; a point."""
+    ate = sum(s.mass * (s.risk1 - s.risk0) for s in identify(evidence.p0, evidence.p1))
     return Interval(ate, ate)
 
 

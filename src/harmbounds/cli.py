@@ -26,7 +26,6 @@ from typing import Optional
 from . import bounds as bounds_mod
 from . import propositions
 from .errors import (
-    HarmboundsError,
     IncompatibleEvidence,
     ParseError,
     ValidationError,
@@ -158,11 +157,16 @@ class StudyInput:
             raise ValidationError("study contains no strata")
 
 
-def _cell(raw: dict, where: str) -> tuple[int, int]:
-    try:
-        events, total = int(raw["events"]), int(raw["total"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: expected events/total counts") from exc
+def _cell(block: object, arm: str, where: str) -> tuple[int, int]:
+    """The (events, total) integer counts of one arm; bools and floats are not counts."""
+    cell = block.get(arm) if isinstance(block, dict) else None
+    if not isinstance(cell, dict):
+        raise ParseError(f"{where}: expected an object with events/total counts")
+    events, total = cell.get("events"), cell.get("total")
+    if type(events) is not int or type(total) is not int:
+        raise ParseError(
+            f"{where}: events and total must be integers, got {events!r} and {total!r}"
+        )
     if total <= 0:
         raise ValidationError(f"{where}: total must be positive, got {total}")
     if events < 0 or events > total:
@@ -172,17 +176,17 @@ def _cell(raw: dict, where: str) -> tuple[int, int]:
 
 def _stratum_from_counts(
     labels: tuple[tuple[str, str], ...],
-    experimental: dict,
-    observational: Optional[dict],
+    experimental: object,
+    observational: object,
     where: str,
 ) -> StratumInput:
-    t_events, t_total = _cell(experimental["treated"], f"{where}, experimental.treated")
-    c_events, c_total = _cell(experimental["untreated"], f"{where}, experimental.untreated")
+    t_events, t_total = _cell(experimental, "treated", f"{where}, experimental.treated")
+    c_events, c_total = _cell(experimental, "untreated", f"{where}, experimental.untreated")
     p0 = ExperimentalParams(Fraction(t_events, t_total), Fraction(c_events, c_total))
     p1 = None
     if observational is not None:
-        ot_events, ot_total = _cell(observational["treated"], f"{where}, observational.treated")
-        oc_events, oc_total = _cell(observational["untreated"], f"{where}, observational.untreated")
+        ot_events, ot_total = _cell(observational, "treated", f"{where}, observational.treated")
+        oc_events, oc_total = _cell(observational, "untreated", f"{where}, observational.untreated")
         p1 = ObservationalParams(
             Fraction(ot_total, ot_total + oc_total),
             Fraction(ot_events, ot_total),
@@ -192,8 +196,11 @@ def _stratum_from_counts(
 
 
 def _stratum_from_parameters(
-    labels: tuple[tuple[str, str], ...], params: dict, where: str
+    labels: tuple[tuple[str, str], ...], params: object, where: str
 ) -> StratumInput:
+    if not isinstance(params, dict):
+        raise ParseError(f"{where}: parameters must be an object")
+
     def prob(key: str, required: bool = True) -> Optional[Fraction]:
         if key not in params or params[key] is None:
             if required:
@@ -234,6 +241,8 @@ def _parse_json_input(path: str) -> StudyInput:
     strata = []
     for i, raw in enumerate(data["strata"]):
         where = f"{path}, stratum {i}"
+        if not isinstance(raw, dict):
+            raise ParseError(f"{where}: expected an object")
         labels = _labels_from_mapping(raw.get("labels", {}), where)
         if "parameters" in raw:
             strata.append(_stratum_from_parameters(labels, raw["parameters"], where))
@@ -244,6 +253,22 @@ def _parse_json_input(path: str) -> StudyInput:
         else:
             raise ParseError(f"{where}: needs 'experimental' counts or 'parameters'")
     return StudyInput(tuple(strata))
+
+
+def _csv_cells(row: list[str], first: int, where: str) -> dict:
+    """The four count fields from column `first` on, as a counts block."""
+    counts = []
+    for column in range(first, first + 4):
+        text = row[column].strip()
+        if not (text.isascii() and text.isdigit()):
+            raise ParseError(
+                f"{where}, {_CSV_HEADER[column]}: expected a whole number, got {row[column]!r}"
+            )
+        counts.append(int(text))
+    return {
+        "treated": {"events": counts[0], "total": counts[1]},
+        "untreated": {"events": counts[2], "total": counts[3]},
+    }
 
 
 def _parse_csv_input(path: str) -> StudyInput:
@@ -269,27 +294,20 @@ def _parse_csv_input(path: str) -> StudyInput:
                 for part in row[0].split(";")
                 if "=" in part
             )
-            experimental = {
-                "treated": {"events": row[1], "total": row[2]},
-                "untreated": {"events": row[3], "total": row[4]},
-            }
             obs_fields = [field.strip() for field in row[5:9]]
             observational = None
             if any(obs_fields):
                 if not all(obs_fields):
                     raise ParseError(f"{where}: partial observational counts")
-                observational = {
-                    "treated": {"events": row[5], "total": row[6]},
-                    "untreated": {"events": row[7], "total": row[8]},
-                }
+                observational = _csv_cells(row, 5, where)
             strata.append(
-                _stratum_from_counts(labels, experimental, observational, where)  # type: ignore[arg-type]
+                _stratum_from_counts(labels, _csv_cells(row, 1, where), observational, where)
             )
     return StudyInput(tuple(strata))
 
 
 def parse_input(path: str, format: str) -> StudyInput:
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ParseError(f"no such file: {path}")
     if format == "json":
         return _parse_json_input(path)
@@ -349,22 +367,22 @@ def _analyze_stratum(stratum: StratumInput) -> StratumReport:
     if not fusion.compatible:
         return StratumReport(stratum, fusion, p0_bounds, None, verdicts_p0, None)
 
-    def maybe(fn, *args):
-        try:
-            return fn(*args)
-        except HarmboundsError:
-            return None
+    mass = {0: 1 - evidence.p1.pi1, 1: evidence.p1.pi1}
+
+    def given(fn, astar: int) -> Optional[bounds_mod.Interval]:
+        """fn's interval in the A*=astar stratum; None when that stratum is empty."""
+        return fn(evidence, astar) if mass[astar] > 0 else None
 
     fused_bounds = {
         "harm": bounds_mod.harm_bounds(evidence),
         "benefit": bounds_mod.benefit_bounds(evidence),
         "ate": bounds_mod.ate_bounds(evidence),
-        "cate0": maybe(bounds_mod.cate_bounds, evidence, 0),
-        "cate1": maybe(bounds_mod.cate_bounds, evidence, 1),
-        "harm_given0": maybe(bounds_mod.conditional_harm_bounds, evidence, 0),
-        "harm_given1": maybe(bounds_mod.conditional_harm_bounds, evidence, 1),
-        "benefit_given0": maybe(bounds_mod.conditional_benefit_bounds, evidence, 0),
-        "benefit_given1": maybe(bounds_mod.conditional_benefit_bounds, evidence, 1),
+        "cate0": given(bounds_mod.cate_bounds, 0),
+        "cate1": given(bounds_mod.cate_bounds, 1),
+        "harm_given0": given(bounds_mod.conditional_harm_bounds, 0),
+        "harm_given1": given(bounds_mod.conditional_harm_bounds, 1),
+        "benefit_given0": given(bounds_mod.conditional_benefit_bounds, 0),
+        "benefit_given1": given(bounds_mod.conditional_benefit_bounds, 1),
     }
     verdicts_fused = {
         "interventionist": propositions.interventionist_verdict(evidence),

@@ -1,21 +1,22 @@
-"""Fusion compatibility and point identification of conditional effects.
+"""Fusion compatibility and identification of the A* strata.
 
 With both data sources in hand, the within-stratum risk of the arm a
 patient would naturally take is observed directly, and the cross-world
 risk (the other arm's risk in the same stratum) is pinned down by a
 one-line linear solve against the experimental marginal.  Compatibility
 of the two sources is exactly the requirement that both derived
-cross-world risks are probabilities.
+cross-world risks are probabilities.  Without natural-choice data the
+only stratum is the whole population, with the experimental risks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import IncompatibleEvidence, NullStratum
-from .model import ExperimentalParams, ObservationalParams
+from .model import ExperimentalParams, ObservationalParams, ONE
 
 
 @dataclass(frozen=True)
@@ -25,6 +26,15 @@ class FusionReport:
     compatible: bool
     violations: tuple[str, ...]
     derived_cross_risks: Mapping[int, Fraction]  # astar -> P(Y^{1-astar}=1 | A*=astar)
+
+
+class Stratum(NamedTuple):
+    """A non-empty stratum and both of its identified potential-outcome risks."""
+
+    astar: Optional[int]  # None: the whole population, A* unmeasured
+    mass: Fraction
+    risk1: Fraction  # P(Y^{a=1}=1 | stratum)
+    risk0: Fraction  # P(Y^{a=0}=1 | stratum)
 
 
 def _cross_risks(
@@ -69,6 +79,27 @@ def compatibility_check(
     )
 
 
+def identify(
+    p0: ExperimentalParams, p1: Optional[ObservationalParams]
+) -> tuple[Stratum, ...]:
+    """The non-empty strata, in A* order, with their masses and identified risks.
+
+    Raises IncompatibleEvidence when no joint reproduces both sources.
+    """
+    if p1 is None:
+        return (Stratum(None, ONE, p0.p_do1, p0.p_do0),)
+    report = compatibility_check(p0, p1)
+    if not report.compatible:
+        raise IncompatibleEvidence("; ".join(report.violations))
+    cross = report.derived_cross_risks
+    strata = []
+    if p1.q0 is not None:
+        strata.append(Stratum(0, 1 - p1.pi1, cross[0], p1.q0))
+    if p1.q1 is not None:
+        strata.append(Stratum(1, p1.pi1, p1.q1, cross[1]))
+    return tuple(strata)
+
+
 def identify_stratum_risks(
     p0: ExperimentalParams, p1: ObservationalParams, astar: int
 ) -> tuple[Fraction, Fraction]:
@@ -78,18 +109,10 @@ def identify_stratum_risks(
     """
     if astar not in (0, 1):
         raise ValueError(f"astar must be 0 or 1, got {astar!r}")
-    mass = p1.pi1 if astar == 1 else 1 - p1.pi1
-    if mass == 0:
-        raise NullStratum(f"P(A*={astar}) = 0")
-    report = compatibility_check(p0, p1)
-    if not report.compatible:
-        raise IncompatibleEvidence("; ".join(report.violations))
-    cross = report.derived_cross_risks[astar]
-    if astar == 1:
-        assert p1.q1 is not None
-        return p1.q1, cross
-    assert p1.q0 is not None
-    return cross, p1.q0
+    for stratum in identify(p0, p1):
+        if stratum.astar == astar:
+            return stratum.risk1, stratum.risk0
+    raise NullStratum(f"P(A*={astar}) = 0")
 
 
 def identify_cate(

@@ -1,11 +1,15 @@
-"""Exact LP oracle over the atom simplex; sharpness is defined here.
+"""Exact LP oracle over the atom simplex: the test-only reference for sharpness.
 
-Any bound claimed elsewhere in the package must coincide with the optimum
-of a linear program over joints consistent with the evidence.  Dimension
-is tiny (at most 8 atoms, 6 equality rows), so the solver enumerates
-basic feasible solutions with rational Gaussian elimination: every vertex
-of {x >= 0, sum x = 1, Ax = b} is the unique solution of a full-column-rank
-square subsystem, and an optimum of a bounded nonempty LP sits at a vertex.
+A sharp bound is the optimum of a linear program over the joints
+consistent with the evidence.  The closed forms of `bounds` must coincide
+with it; the test suite checks that they do.  No runtime module imports
+this one, so a check against it never compares a result with itself.
+
+Dimension is tiny (at most 8 atoms, 6 equality rows), so the solver
+enumerates basic feasible solutions with rational Gaussian elimination:
+every vertex of {x >= 0, sum x = 1, Ax = b} is the unique solution of a
+full-column-rank square subsystem, and an optimum of a bounded nonempty LP
+sits at a vertex.
 """
 
 from __future__ import annotations
@@ -14,23 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Optional, TYPE_CHECKING
+from typing import Optional
 
+from .bounds import EvidenceSet, Interval
 from .errors import IncompatibleEvidence, MissingObservational, NullStratum
 from .model import ATOM_KEYS, ONE, ZERO
-
-if TYPE_CHECKING:
-    from .bounds import EvidenceSet, Interval
-
-# Marginal targets; conditional targets fix a stratum and rescale.
-TARGETS = (
-    "harm",
-    "benefit",
-    "harm_given_0",
-    "harm_given_1",
-    "benefit_given_0",
-    "benefit_given_1",
-)
 
 _P0_ONLY_KEYS = tuple((y0, y1) for y0 in (0, 1) for y1 in (0, 1))
 
@@ -71,7 +63,7 @@ def _parse_target(target: str) -> tuple[str, Optional[int]]:
     raise ValueError(f"unknown target {target!r}")
 
 
-def build_program(evidence: "EvidenceSet", target: str) -> LinearProgram:
+def build_program(evidence: EvidenceSet, target: str) -> LinearProgram:
     """Encode the evidence as equality rows and the target as the objective.
 
     Fused problems run over the 8 atoms of (y0, y1, astar); experimental-only
@@ -219,10 +211,9 @@ def solve(lp: LinearProgram, sense: str) -> LpResult:
     return LpResult(status="optimal", value=best_value, witness=best_vertex)
 
 
-def sharp_interval(evidence: "EvidenceSet", target: str) -> "Interval":
-    """[min, max] of the target over all joints consistent with the evidence."""
-    from .bounds import Interval
-
+def sharp_interval(evidence: EvidenceSet, target: str) -> Interval:
+    """[min, max] of the target ("harm", "benefit", "harm_given_<a*>" or
+    "benefit_given_<a*>") over all joints consistent with the evidence."""
     kind, astar = _parse_target(target)
     scale = ONE
     if astar is not None:

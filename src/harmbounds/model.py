@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-Prob = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -81,9 +79,6 @@ class JointDistribution:
                 continue
             total += p
         return total
-
-    def as_dict(self) -> dict[AtomKey, Fraction]:
-        return dict(zip(ATOM_KEYS, self.atoms))
 
 
 @dataclass(frozen=True)
@@ -258,7 +253,6 @@ def degenerate_family(kind: str, params: Mapping[str, object]) -> JointDistribut
     kind="stratum": per-stratum determinisms as in the demo instance.
       params: pi1, strata — mapping astar -> stratum spec (see _stratum_cells);
       strata with zero mass may be omitted.
-    kind="none": params: atoms — an explicit atom mapping, no degeneracy imposed.
     """
     if kind == "marginal":
         arm = params["arm"]
@@ -288,9 +282,6 @@ def degenerate_family(kind: str, params: Mapping[str, object]) -> JointDistribut
             for (y0, y1), weight in _stratum_cells(strata[astar]).items():
                 atoms[(y0, y1, astar)] = atoms.get((y0, y1, astar), ZERO) + mass * weight
         return JointDistribution.from_mapping(atoms)
-
-    if kind == "none":
-        return JointDistribution.from_mapping(params["atoms"])  # type: ignore[arg-type]
 
     raise ValueError(f"unknown degeneracy kind {kind!r}")
 

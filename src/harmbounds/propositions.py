@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import bounds as bounds_mod
-from .identification import identify_cate, identify_stratum_risks
+from .identification import identify
 from .model import (
     JointDistribution,
     demo_joint,
@@ -43,16 +43,6 @@ class PropositionReport:
     counterexamples: tuple[tuple[JointDistribution, str], ...]
 
 
-def _non_null_strata(evidence: bounds_mod.EvidenceSet) -> list[int]:
-    assert evidence.p1 is not None
-    strata = []
-    if evidence.p1.pi1 < 1:
-        strata.append(0)
-    if evidence.p1.pi1 > 0:
-        strata.append(1)
-    return strata
-
-
 def interventionist_verdict(evidence: bounds_mod.EvidenceSet) -> Verdict:
     """Detected iff some measurable group has a strictly positive sharp ATE lower bound.
 
@@ -60,15 +50,11 @@ def interventionist_verdict(evidence: bounds_mod.EvidenceSet) -> Verdict:
     is the whole population; with natural-choice data the groups are the
     A* strata and their ATEs are point identified.
     """
-    if evidence.p1 is None:
-        ate = evidence.p0.p_do1 - evidence.p0.p_do0
-        if ate > 0:
-            return Verdict("interventionist", True, "marginal ATE", ate)
-        return Verdict("interventionist", False)
-    for astar in _non_null_strata(evidence):
-        cate = identify_cate(evidence.p0, evidence.p1, astar)
+    for stratum in identify(evidence.p0, evidence.p1):
+        cate = stratum.risk1 - stratum.risk0
         if cate > 0:
-            return Verdict("interventionist", True, f"ATE | A*={astar}", cate)
+            witness = "marginal ATE" if stratum.astar is None else f"ATE | A*={stratum.astar}"
+            return Verdict("interventionist", True, witness, cate)
     return Verdict("interventionist", False)
 
 
@@ -107,27 +93,20 @@ def check_prop1(joint: JointDistribution) -> Optional[str]:
 def check_prop2(joint: JointDistribution) -> Optional[str]:
     """Point identification of P(harm) happens exactly at deterministic risks."""
     ev0, ev1 = _evidence_levels(joint)
-    p0 = ev0.p0
-
-    point0 = bounds_mod.is_point_identified(bounds_mod.harm_bounds(ev0))
-    degenerate0 = p0.p_do1 in (0, 1) or p0.p_do0 in (0, 1)
-    if point0 != degenerate0:
-        return (
-            f"experimental-only: point identification {point0} but "
-            f"marginal degeneracy {degenerate0}"
+    for label, evidence, kind in (
+        ("experimental-only", ev0, "marginal"),
+        ("fused", ev1, "stratum"),
+    ):
+        point = bounds_mod.is_point_identified(bounds_mod.harm_bounds(evidence))
+        degenerate = all(
+            s.risk1 in (0, 1) or s.risk0 in (0, 1)
+            for s in identify(evidence.p0, evidence.p1)
         )
-
-    point1 = bounds_mod.is_point_identified(bounds_mod.harm_bounds(ev1))
-    degenerate1 = True
-    for astar in _non_null_strata(ev1):
-        risk1, risk0 = identify_stratum_risks(ev1.p0, ev1.p1, astar)
-        if risk1 not in (0, 1) and risk0 not in (0, 1):
-            degenerate1 = False
-    if point1 != degenerate1:
-        return (
-            f"fused: point identification {point1} but "
-            f"stratum degeneracy {degenerate1}"
-        )
+        if point != degenerate:
+            return (
+                f"{label}: point identification {point} but "
+                f"{kind} degeneracy {degenerate}"
+            )
     return None
 
 
@@ -144,7 +123,8 @@ def check_prop3(joint: JointDistribution) -> Optional[str]:
     )
     if not premise:
         return None
-    for astar in _non_null_strata(ev1):
+    for stratum in identify(ev1.p0, ev1.p1):
+        astar = stratum.astar
         benefit = bounds_mod.conditional_benefit_bounds(ev1, astar)
         harm = bounds_mod.conditional_harm_bounds(ev1, astar)
         zero = bounds_mod.Interval(0, 0)
@@ -160,12 +140,11 @@ def check_prop4(joint: JointDistribution) -> Optional[str]:
     """The fused harm lower bound strictly improves iff the stratum ATEs have
     strictly opposite signs.  Vacuous when a stratum is empty."""
     ev0, ev1 = _evidence_levels(joint)
-    assert ev1.p1 is not None
-    if ev1.p1.pi1 in (0, 1):
+    strata = identify(ev1.p0, ev1.p1)
+    if len(strata) < 2:
         return None
     improved = bounds_mod.harm_bounds(ev1).lower > bounds_mod.harm_bounds(ev0).lower
-    cate0 = identify_cate(ev1.p0, ev1.p1, 0)
-    cate1 = identify_cate(ev1.p0, ev1.p1, 1)
+    cate0, cate1 = (s.risk1 - s.risk0 for s in strata)
     opposite = (cate0 > 0 > cate1) or (cate1 > 0 > cate0)
     if improved != opposite:
         return (
@@ -197,9 +176,6 @@ def run_harness(n: int, seed: int) -> list[PropositionReport]:
     counterexamples: dict[str, list[tuple[JointDistribution, str]]] = {
         name: [] for name in PROPOSITIONS
     }
-    # instances outer, checkers inner: the oracle's vertex cache is keyed by
-    # the evidence constraints, so all four checks on one joint share one
-    # vertex enumeration
     for joint in instances:
         for name in PROPOSITIONS:
             details = _CHECKERS[name](joint)

@@ -22,6 +22,7 @@ from harmbounds import (
     true_estimands,
 )
 from harmbounds.lp_oracle import sharp_interval
+from harmbounds.model import degenerate_grid
 
 from conftest import joints
 
@@ -143,26 +144,32 @@ def _swap_evidence(evidence):
     return EvidenceSet(p0, ObservationalParams(1 - p1.pi1, p1.q0, p1.q1))
 
 
+def _assert_matches_oracle(joint):
+    p0, p1 = observables_from_joint(joint)
+    ev0, ev1 = EvidenceSet(p0), EvidenceSet(p0, p1)
+    for evidence in (ev0, ev1):
+        assert harm_bounds(evidence) == sharp_interval(evidence, "harm")
+        assert benefit_bounds(evidence) == sharp_interval(evidence, "benefit")
+    for astar in (0, 1):
+        if (p1.pi1 if astar else 1 - p1.pi1) == 0:
+            continue
+        assert conditional_harm_bounds(ev1, astar) == sharp_interval(ev1, f"harm_given_{astar}")
+        assert conditional_benefit_bounds(ev1, astar) == sharp_interval(
+            ev1, f"benefit_given_{astar}"
+        )
+
+
+@pytest.mark.parametrize("joint", degenerate_grid())
+def test_degenerate_grid_matches_oracle(joint):
+    """Empty strata and deterministic risks, which sampled joints rarely hit."""
+    _assert_matches_oracle(joint)
+
+
 class TestProperties:
     @given(joints())
     @settings(max_examples=100, deadline=None)
     def test_oracle_equivalence(self, joint):
-        p0, p1 = observables_from_joint(joint)
-        ev0, ev1 = EvidenceSet(p0), EvidenceSet(p0, p1)
-        assert harm_bounds(ev0) == sharp_interval(ev0, "harm")
-        assert benefit_bounds(ev0) == sharp_interval(ev0, "benefit")
-        assert harm_bounds(ev1) == sharp_interval(ev1, "harm")
-        assert benefit_bounds(ev1) == sharp_interval(ev1, "benefit")
-        for astar in (0, 1):
-            mass = p1.pi1 if astar else 1 - p1.pi1
-            if mass == 0:
-                continue
-            assert conditional_harm_bounds(ev1, astar) == sharp_interval(
-                ev1, f"harm_given_{astar}"
-            )
-            assert conditional_benefit_bounds(ev1, astar) == sharp_interval(
-                ev1, f"benefit_given_{astar}"
-            )
+        _assert_matches_oracle(joint)
 
     @given(joints())
     @settings(max_examples=200)

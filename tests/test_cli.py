@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -294,6 +298,7 @@ class TestMain:
 
     def test_usage_errors(self, capsys, tmp_path):
         assert main(["analyze", "--input", "/missing.json"]) == EXIT_USAGE
+        assert main(["analyze", "--input", str(tmp_path)]) == EXIT_USAGE
         assert main(["verify", "--samples", "0"]) == EXIT_USAGE
         assert main(["frobnicate"]) == EXIT_USAGE
         path = tmp_path / "bad.json"
@@ -305,3 +310,94 @@ class TestMain:
         out = capsys.readouterr().out
         for name in ("P1", "P2", "P3", "P4"):
             assert f"proposition {name}" in out
+
+
+def _with(path, value):
+    """DEMO_COUNTS with the entry at `path` (a key sequence) set to `value`."""
+    payload = json.loads(json.dumps(DEMO_COUNTS))
+    node = payload["strata"][0]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return payload
+
+
+def _without_untreated():
+    payload = json.loads(json.dumps(DEMO_COUNTS))
+    del payload["strata"][0]["experimental"]["untreated"]
+    return payload
+
+
+class TestInputBoundary:
+    """Malformed counts end in one `error:` line and exit code 1, never a
+    silently coerced number or a traceback."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            _with(("experimental", "treated", "events"), 51.9),
+            _with(("experimental", "treated", "events"), 51.0),
+            _with(("experimental", "treated", "events"), True),
+            _with(("observational", "untreated", "total"), "30"),
+            _with(("observational", "treated"), None),
+            _with(("parameters",), 7),
+            _without_untreated(),
+            {"strata": [7]},
+        ],
+        ids=[
+            "fractional-events",
+            "float-events",
+            "bool-events",
+            "string-total",
+            "null-arm",
+            "non-object-parameters",
+            "missing-untreated",
+            "non-object-stratum",
+        ],
+    )
+    def test_json_rejected(self, payload, tmp_path, capsys):
+        assert main(["analyze", "--input", write_json(tmp_path, payload)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("field", ["51.9", "true", "-5", "5e1", "\u0665"])
+    def test_csv_count_must_be_digits(self, field, tmp_path, capsys):
+        path = tmp_path / "study.csv"
+        path.write_text(
+            "labels,exp_t_events,exp_t_total,exp_c_events,exp_c_total,"
+            "obs_t_events,obs_t_total,obs_c_events,obs_c_total\n"
+            f"sex=men,{field},100,79,100,21,70,9,30\n",
+            encoding="utf-8",
+        )
+        assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "exp_t_events" in err and err.count("\n") == 1
+
+    def test_csv_counts_may_be_padded(self, tmp_path):
+        path = tmp_path / "study.csv"
+        path.write_text(
+            "labels,exp_t_events,exp_t_total,exp_c_events,exp_c_total,"
+            "obs_t_events,obs_t_total,obs_c_events,obs_c_total\n"
+            "sex=men, 51 ,100,79,100,21,70,9,30\n"
+        )
+        assert parse_input(str(path), "csv").strata[0].evidence.p0.p_do1 == F(51, 100)
+
+
+def test_example_never_imports_the_lp_oracle():
+    """The LP oracle is a test reference; the CLI's runtime path must not load it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import contextlib, io, sys\n"
+        "from harmbounds.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['example']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('harmbounds')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert "harmbounds.cli" in result.stdout
+    assert "harmbounds.lp_oracle" not in result.stdout

@@ -131,12 +131,6 @@ class TestDegenerateFamily:
         assert j == demo_joint()
         assert observables_from_joint(j) == observables_from_joint(demo_joint())
 
-    def test_none_kind_passthrough(self):
-        j = degenerate_family(
-            "none", {"atoms": {(0, 0, 0): F(1, 2), (1, 1, 1): F(1, 2)}}
-        )
-        assert j[(0, 0, 0)] == F(1, 2)
-
     def test_invalid_free_params(self):
         with pytest.raises(ValueError):
             degenerate_family(
