@@ -4,7 +4,6 @@ natural-choice data and a mechanical checker for the concordance of
 interventionist and counterfactual harm detection."""
 
 from .bounds import (
-    EvidenceSet,
     Interval,
     ate_bounds,
     benefit_bounds,
@@ -23,6 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .identification import (
+    EvidenceSet,
     FusionReport,
     compatibility_check,
     identify_cate,

@@ -1,7 +1,7 @@
 """Sharp bounds on harm/benefit probabilities and treatment effects.
 
-Every bound is a closed form over the identified strata of
-`identification.identify`.  Within a stratum both potential-outcome risks
+Every bound is a closed form over the identified strata of an
+`identification.EvidenceSet`.  Within a stratum both potential-outcome risks
 are identified, so harm and benefit there have the two-marginal (Frechet)
 bounds; the marginal bounds are their mass-weighted sums.  Without
 natural-choice data the one stratum is the whole population, which gives
@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .errors import MissingObservational
-from .identification import identify, identify_cate, identify_stratum_risks
-from .model import ExperimentalParams, ObservationalParams, ONE, ZERO
+from .identification import EvidenceSet
+from .model import ONE, ZERO
 
 
 @dataclass(frozen=True)
@@ -37,14 +36,6 @@ class Interval:
 
     def __contains__(self, value: object) -> bool:
         return self.lower <= value <= self.upper  # type: ignore[operator]
-
-
-@dataclass(frozen=True)
-class EvidenceSet:
-    """Experimental parameters, optionally fused with natural-choice data."""
-
-    p0: ExperimentalParams
-    p1: Optional[ObservationalParams] = None
 
 
 def is_point_identified(interval: Interval) -> bool:
@@ -67,37 +58,29 @@ def _mixture(parts: Iterable[tuple[Fraction, tuple[Fraction, Fraction]]]) -> Int
 
 def harm_bounds(evidence: EvidenceSet) -> Interval:
     """Sharp bounds on P(Y^{a=1}=1, Y^{a=0}=0)."""
-    strata = identify(evidence.p0, evidence.p1)
-    return _mixture((s.mass, _frechet(s.risk1, s.risk0)) for s in strata)
+    return _mixture((s.mass, _frechet(s.risk1, s.risk0)) for s in evidence.strata)
 
 
 def benefit_bounds(evidence: EvidenceSet) -> Interval:
     """Sharp bounds on P(Y^{a=1}=0, Y^{a=0}=1)."""
-    strata = identify(evidence.p0, evidence.p1)
-    return _mixture((s.mass, _frechet(s.risk0, s.risk1)) for s in strata)
-
-
-def _stratum_risks(evidence: EvidenceSet, astar: int) -> tuple[Fraction, Fraction]:
-    if evidence.p1 is None:
-        raise MissingObservational("conditional bounds require natural-choice data")
-    return identify_stratum_risks(evidence.p0, evidence.p1, astar)
+    return _mixture((s.mass, _frechet(s.risk0, s.risk1)) for s in evidence.strata)
 
 
 def conditional_harm_bounds(evidence: EvidenceSet, astar: int) -> Interval:
     """Sharp bounds on P(harm | A*=astar): Frechet bounds on identified risks."""
-    risk1, risk0 = _stratum_risks(evidence, astar)
-    return Interval(*_frechet(risk1, risk0))
+    stratum = evidence.stratum(astar)
+    return Interval(*_frechet(stratum.risk1, stratum.risk0))
 
 
 def conditional_benefit_bounds(evidence: EvidenceSet, astar: int) -> Interval:
     """Sharp bounds on P(benefit | A*=astar)."""
-    risk1, risk0 = _stratum_risks(evidence, astar)
-    return Interval(*_frechet(risk0, risk1))
+    stratum = evidence.stratum(astar)
+    return Interval(*_frechet(stratum.risk0, stratum.risk1))
 
 
 def ate_bounds(evidence: EvidenceSet) -> Interval:
     """The marginal ATE, the mass-weighted sum of the stratum ATEs; a point."""
-    ate = sum(s.mass * (s.risk1 - s.risk0) for s in identify(evidence.p0, evidence.p1))
+    ate = sum(s.mass * s.cate for s in evidence.strata)
     return Interval(ate, ate)
 
 
@@ -111,5 +94,5 @@ def cate_bounds(evidence: EvidenceSet, astar: int) -> Interval:
         raise ValueError(f"astar must be 0 or 1, got {astar!r}")
     if evidence.p1 is None:
         return Interval(-ONE, ONE)
-    cate = identify_cate(evidence.p0, evidence.p1, astar)
+    cate = evidence.stratum(astar).cate
     return Interval(cate, cate)

@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -30,7 +31,6 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .identification import FusionReport, compatibility_check
 from .model import (
     ATOM_KEYS,
     ExperimentalParams,
@@ -42,6 +42,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_ALL_INCOMPATIBLE = 2
 EXIT_COUNTEREXAMPLE = 3
+
+# Longest accepted rational parameter; longer text is refused before any arithmetic.
+MAX_RATIONAL_CHARS = 100
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+|/[0-9]+)?")
 
 _CSV_HEADER = [
     "labels",
@@ -64,40 +68,28 @@ def rational_str(x: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Accepts 'p/q' and decimal strings; both parse to exact rationals."""
+    """Accepts 'p/q' and 'd[.d]' strings with an optional sign, no exponent,
+    at most MAX_RATIONAL_CHARS long; both parse to exact rationals."""
+    if len(text) > MAX_RATIONAL_CHARS or not _RATIONAL.fullmatch(text):
+        raise ParseError(f"not a rational number: {text[:MAX_RATIONAL_CHARS]!r}")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise ParseError(f"not a rational number: {text!r}") from exc
 
 
 def decimal_str(x: Fraction) -> tuple[str, bool]:
     """Decimal rendering plus an exactness flag.
 
-    Terminating decimals (denominator 2^a 5^b) of reasonable length render
-    exactly; everything else is rounded to 6 significant digits.
+    A value renders exactly when its decimal ends within 12 places, that
+    is when its denominator divides 10^12; everything else is rounded to 6
+    significant digits.
     """
     x = Fraction(x)
-    sign = "-" if x < 0 else ""
-    num, den = abs(x.numerator), x.denominator
-    d = den
-    twos = fives = 0
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
-    while d % 5 == 0:
-        d //= 5
-        fives += 1
-    if d == 1:
-        k = max(twos, fives)
-        scaled = num * 10**k // den
-        if k == 0:
-            return sign + str(scaled), True
-        digits = str(scaled).rjust(k + 1, "0")
-        frac = digits[-k:].rstrip("0")
-        if len(frac) <= 12:
-            text = sign + digits[:-k] + ("." + frac if frac else "")
-            return text, True
+    if 10**12 % x.denominator == 0:
+        whole, frac = divmod(abs(x.numerator) * 10**12 // x.denominator, 10**12)
+        places = str(frac).rjust(12, "0").rstrip("0")
+        return ("-" if x < 0 else "") + str(whole) + ("." + places if places else ""), True
     with localcontext() as ctx:
         ctx.prec = 6
         approx = Decimal(x.numerator) / Decimal(x.denominator)
@@ -236,6 +228,8 @@ def _parse_json_input(path: str) -> StudyInput:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict) or not isinstance(data.get("strata"), list):
         raise ParseError(f"{path}: expected a top-level object with a 'strata' list")
     strata = []
@@ -271,10 +265,28 @@ def _csv_cells(row: list[str], first: int, where: str) -> dict:
     }
 
 
+def _csv_labels(cell: str, where: str) -> tuple[tuple[str, str], ...]:
+    """The `key=value` fragments of a labels cell; blank fragments are skipped."""
+    parts = [part for part in cell.split(";") if part.strip()]
+    for part in parts:
+        if "=" not in part:
+            raise ParseError(f"{where}: label {part!r} is not of the form key=value")
+    return tuple(tuple(part.split("=", 1)) for part in parts)
+
+
+def _csv_rows(fh, path: str):
+    """The rows of a CSV file; a malformed one ends in ParseError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"{path}, line {reader.line_num}: {exc}") from None
+
+
 def _parse_csv_input(path: str) -> StudyInput:
     strata = []
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -289,11 +301,7 @@ def _parse_csv_input(path: str) -> StudyInput:
             where = f"{path}, line {lineno}"
             if len(row) != len(_CSV_HEADER):
                 raise ParseError(f"{where}: expected {len(_CSV_HEADER)} fields")
-            labels = tuple(
-                tuple(part.split("=", 1))
-                for part in row[0].split(";")
-                if "=" in part
-            )
+            labels = _csv_labels(row[0], where)
             obs_fields = [field.strip() for field in row[5:9]]
             observational = None
             if any(obs_fields):
@@ -326,7 +334,6 @@ def _infer_format(path: str) -> str:
 @dataclass(frozen=True)
 class StratumReport:
     stratum: StratumInput
-    fusion: Optional[FusionReport]
     p0_bounds: dict[str, bounds_mod.Interval]
     fused_bounds: Optional[dict[str, Optional[bounds_mod.Interval]]]
     verdicts_p0: dict[str, propositions.Verdict]
@@ -334,7 +341,8 @@ class StratumReport:
 
     @property
     def incompatible(self) -> bool:
-        return self.fusion is not None and not self.fusion.compatible
+        fusion = self.stratum.evidence.fusion
+        return fusion is not None and not fusion.compatible
 
 
 @dataclass(frozen=True)
@@ -360,18 +368,14 @@ def _analyze_stratum(stratum: StratumInput) -> StratumReport:
         "interventionist": propositions.interventionist_verdict(p0_only),
         "counterfactual": propositions.counterfactual_verdict(p0_only),
     }
-    if evidence.p1 is None:
-        return StratumReport(stratum, None, p0_bounds, None, verdicts_p0, None)
+    if evidence.fusion is None or not evidence.fusion.compatible:
+        return StratumReport(stratum, p0_bounds, None, verdicts_p0, None)
 
-    fusion = compatibility_check(evidence.p0, evidence.p1)
-    if not fusion.compatible:
-        return StratumReport(stratum, fusion, p0_bounds, None, verdicts_p0, None)
-
-    mass = {0: 1 - evidence.p1.pi1, 1: evidence.p1.pi1}
+    present = {s.astar for s in evidence.strata}
 
     def given(fn, astar: int) -> Optional[bounds_mod.Interval]:
         """fn's interval in the A*=astar stratum; None when that stratum is empty."""
-        return fn(evidence, astar) if mass[astar] > 0 else None
+        return fn(evidence, astar) if astar in present else None
 
     fused_bounds = {
         "harm": bounds_mod.harm_bounds(evidence),
@@ -388,7 +392,7 @@ def _analyze_stratum(stratum: StratumInput) -> StratumReport:
         "interventionist": propositions.interventionist_verdict(evidence),
         "counterfactual": propositions.counterfactual_verdict(evidence),
     }
-    return StratumReport(stratum, fusion, p0_bounds, fused_bounds, verdicts_p0, verdicts_fused)
+    return StratumReport(stratum, p0_bounds, fused_bounds, verdicts_p0, verdicts_fused)
 
 
 def analyze(study: StudyInput) -> AnalysisReport:
@@ -401,7 +405,7 @@ def analyze(study: StudyInput) -> AnalysisReport:
 def report_to_json(report: AnalysisReport) -> dict:
     strata = []
     for sr in report.strata:
-        p1 = sr.stratum.evidence.p1
+        p1, fusion = sr.stratum.evidence.p1, sr.stratum.evidence.fusion
         entry: dict = {
             "labels": dict(sr.stratum.labels),
             "p0": {
@@ -416,13 +420,13 @@ def report_to_json(report: AnalysisReport) -> dict:
                 "q0": _rat_json(p1.q0),
             },
             "fusion": None
-            if sr.fusion is None
+            if fusion is None
             else {
-                "compatible": sr.fusion.compatible,
-                "violations": list(sr.fusion.violations),
+                "compatible": fusion.compatible,
+                "violations": list(fusion.violations),
                 "cross_risks": {
                     str(astar): _rat_json(risk)
-                    for astar, risk in sorted(sr.fusion.derived_cross_risks.items())
+                    for astar, risk in sorted(fusion.derived_cross_risks.items())
                 },
             },
             "bounds": {
@@ -486,8 +490,8 @@ _TEXT_ROWS = (
 def render_text(report: AnalysisReport, color: bool = False) -> str:
     lines: list[str] = []
     for sr in report.strata:
-        p0 = sr.stratum.evidence.p0
-        p1 = sr.stratum.evidence.p1
+        evidence = sr.stratum.evidence
+        p0, p1, fusion = evidence.p0, evidence.p1, evidence.fusion
         lines.append(f"Stratum {sr.stratum.name}")
         lines.append(
             f"  Experimental risks:   P(Y=1|do(A=1)) = {_fmt_value(p0.p_do1)} "
@@ -502,13 +506,12 @@ def render_text(report: AnalysisReport, color: bool = False) -> str:
                 f"[{rational_str(p1.pi1)}]   P(Y=1|A*=1) = {q1}   P(Y=1|A*=0) = {q0}"
             )
         if sr.incompatible:
-            assert sr.fusion is not None
             lines.append("  Fusion: INCOMPATIBLE — stratum not analyzed further")
-            for violation in sr.fusion.violations:
+            for violation in fusion.violations:
                 lines.append(f"    {violation}")
             lines.append("")
             continue
-        if sr.fusion is not None:
+        if fusion is not None:
             lines.append("  Fusion: compatible")
         lines.append("  Sharp bounds [lower, upper]:")
         left = "experimental only"

@@ -11,11 +11,11 @@ only stratum is the whole population, with the experimental risks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional
 
-from .errors import IncompatibleEvidence, NullStratum
+from .errors import IncompatibleEvidence, MissingObservational, NullStratum
 from .model import ExperimentalParams, ObservationalParams, ONE
 
 
@@ -35,6 +35,11 @@ class Stratum(NamedTuple):
     mass: Fraction
     risk1: Fraction  # P(Y^{a=1}=1 | stratum)
     risk0: Fraction  # P(Y^{a=0}=1 | stratum)
+
+    @property
+    def cate(self) -> Fraction:
+        """The stratum's average treatment effect, point identified."""
+        return self.risk1 - self.risk0
 
 
 def _cross_risks(
@@ -79,25 +84,53 @@ def compatibility_check(
     )
 
 
-def identify(
-    p0: ExperimentalParams, p1: Optional[ObservationalParams]
-) -> tuple[Stratum, ...]:
-    """The non-empty strata, in A* order, with their masses and identified risks.
+@dataclass(frozen=True)
+class EvidenceSet:
+    """Experimental parameters, optionally fused with natural-choice data.
 
-    Raises IncompatibleEvidence when no joint reproduces both sources.
+    Identified once, when built: `fusion` is the compatibility report (None
+    without natural-choice data), and every bound and verdict reads `strata`.
     """
-    if p1 is None:
-        return (Stratum(None, ONE, p0.p_do1, p0.p_do0),)
-    report = compatibility_check(p0, p1)
-    if not report.compatible:
-        raise IncompatibleEvidence("; ".join(report.violations))
-    cross = report.derived_cross_risks
-    strata = []
-    if p1.q0 is not None:
-        strata.append(Stratum(0, 1 - p1.pi1, cross[0], p1.q0))
-    if p1.q1 is not None:
-        strata.append(Stratum(1, p1.pi1, p1.q1, cross[1]))
-    return tuple(strata)
+
+    p0: ExperimentalParams
+    p1: Optional[ObservationalParams] = None
+    fusion: Optional[FusionReport] = field(init=False, compare=False, repr=False)
+    _strata: Optional[tuple[Stratum, ...]] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        p0, p1 = self.p0, self.p1
+        fusion = strata = None
+        if p1 is None:
+            strata = (Stratum(None, ONE, p0.p_do1, p0.p_do0),)
+        else:
+            fusion = compatibility_check(p0, p1)
+            if fusion.compatible:
+                cross = fusion.derived_cross_risks
+                both = (
+                    Stratum(0, 1 - p1.pi1, cross.get(0), p1.q0),
+                    Stratum(1, p1.pi1, p1.q1, cross.get(1)),
+                )
+                strata = tuple(s for s in both if s.mass > 0)
+        object.__setattr__(self, "fusion", fusion)
+        object.__setattr__(self, "_strata", strata)
+
+    @property
+    def strata(self) -> tuple[Stratum, ...]:
+        """The non-empty strata in A* order; IncompatibleEvidence if no joint fits."""
+        if self._strata is None:
+            raise IncompatibleEvidence("; ".join(self.fusion.violations))
+        return self._strata
+
+    def stratum(self, astar: int) -> Stratum:
+        """The A*=astar stratum; it needs natural-choice data and positive mass."""
+        if self.p1 is None:
+            raise MissingObservational("conditional bounds require natural-choice data")
+        if astar not in (0, 1):
+            raise ValueError(f"astar must be 0 or 1, got {astar!r}")
+        for stratum in self.strata:
+            if stratum.astar == astar:
+                return stratum
+        raise NullStratum(f"P(A*={astar}) = 0")
 
 
 def identify_stratum_risks(
@@ -107,17 +140,12 @@ def identify_stratum_risks(
 
     Returns (P(Y^{a=1}=1 | A*=astar), P(Y^{a=0}=1 | A*=astar)).
     """
-    if astar not in (0, 1):
-        raise ValueError(f"astar must be 0 or 1, got {astar!r}")
-    for stratum in identify(p0, p1):
-        if stratum.astar == astar:
-            return stratum.risk1, stratum.risk0
-    raise NullStratum(f"P(A*={astar}) = 0")
+    stratum = EvidenceSet(p0, p1).stratum(astar)
+    return stratum.risk1, stratum.risk0
 
 
 def identify_cate(
     p0: ExperimentalParams, p1: ObservationalParams, astar: int
 ) -> Fraction:
     """Point-identified conditional ATE given the natural treatment value."""
-    risk1, risk0 = identify_stratum_risks(p0, p1, astar)
-    return risk1 - risk0
+    return EvidenceSet(p0, p1).stratum(astar).cate

@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import bounds as bounds_mod
-from .identification import identify
 from .model import (
     JointDistribution,
     demo_joint,
@@ -50,11 +49,10 @@ def interventionist_verdict(evidence: bounds_mod.EvidenceSet) -> Verdict:
     is the whole population; with natural-choice data the groups are the
     A* strata and their ATEs are point identified.
     """
-    for stratum in identify(evidence.p0, evidence.p1):
-        cate = stratum.risk1 - stratum.risk0
-        if cate > 0:
+    for stratum in evidence.strata:
+        if stratum.cate > 0:
             witness = "marginal ATE" if stratum.astar is None else f"ATE | A*={stratum.astar}"
-            return Verdict("interventionist", True, witness, cate)
+            return Verdict("interventionist", True, witness, stratum.cate)
     return Verdict("interventionist", False)
 
 
@@ -98,10 +96,7 @@ def check_prop2(joint: JointDistribution) -> Optional[str]:
         ("fused", ev1, "stratum"),
     ):
         point = bounds_mod.is_point_identified(bounds_mod.harm_bounds(evidence))
-        degenerate = all(
-            s.risk1 in (0, 1) or s.risk0 in (0, 1)
-            for s in identify(evidence.p0, evidence.p1)
-        )
+        degenerate = all(s.risk1 in (0, 1) or s.risk0 in (0, 1) for s in evidence.strata)
         if point != degenerate:
             return (
                 f"{label}: point identification {point} but "
@@ -123,7 +118,7 @@ def check_prop3(joint: JointDistribution) -> Optional[str]:
     )
     if not premise:
         return None
-    for stratum in identify(ev1.p0, ev1.p1):
+    for stratum in ev1.strata:
         astar = stratum.astar
         benefit = bounds_mod.conditional_benefit_bounds(ev1, astar)
         harm = bounds_mod.conditional_harm_bounds(ev1, astar)
@@ -140,11 +135,10 @@ def check_prop4(joint: JointDistribution) -> Optional[str]:
     """The fused harm lower bound strictly improves iff the stratum ATEs have
     strictly opposite signs.  Vacuous when a stratum is empty."""
     ev0, ev1 = _evidence_levels(joint)
-    strata = identify(ev1.p0, ev1.p1)
-    if len(strata) < 2:
+    if len(ev1.strata) < 2:
         return None
     improved = bounds_mod.harm_bounds(ev1).lower > bounds_mod.harm_bounds(ev0).lower
-    cate0, cate1 = (s.risk1 - s.risk0 for s in strata)
+    cate0, cate1 = (s.cate for s in ev1.strata)
     opposite = (cate0 > 0 > cate1) or (cate1 > 0 > cate0)
     if improved != opposite:
         return (

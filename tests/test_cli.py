@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from harmbounds import ParseError, ValidationError
+from harmbounds import ParseError, ValidationError, identification
 from harmbounds.cli import (
     EXIT_ALL_INCOMPATIBLE,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_RATIONAL_CHARS,
+    _demo_study,
     analyze,
     command_example,
     decimal_str,
@@ -23,6 +25,11 @@ from harmbounds.cli import (
 )
 
 F = Fraction
+CORPUS = Path(__file__).parent / "data" / "golden" / "corpus_study.json"
+CSV_HEADER = (
+    "labels,exp_t_events,exp_t_total,exp_c_events,exp_c_total,"
+    "obs_t_events,obs_t_total,obs_c_events,obs_c_total\n"
+)
 
 DEMO_COUNTS = {
     "strata": [
@@ -47,6 +54,12 @@ def write_json(tmp_path, payload, name="study.json"):
     return str(path)
 
 
+def src_env():
+    """The environment of a child interpreter that imports this checkout's package."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+
+
 class TestRationalRendering:
     @pytest.mark.parametrize(
         "value,expected,exact",
@@ -59,6 +72,11 @@ class TestRationalRendering:
             (F(7, 10), "0.7", True),
             (F(1, 3), "0.333333", False),
             (F(1, 7), "0.142857", False),
+            (F(123456789, 1000), "123456.789", True),
+            (F(-1, 10**12), "-0.000000000001", True),
+            (F(1, 2**12), "0.000244140625", True),
+            (F(1, 2**13), "0.000122070", False),
+            (F(1, 10**13), "1E-13", False),
         ],
     )
     def test_decimal_str(self, value, expected, exact):
@@ -72,6 +90,27 @@ class TestRationalRendering:
     def test_bad_rational(self):
         with pytest.raises(ParseError):
             parse_rational("one half")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e-3", "1E5", ".5", "5.", "1_000", " 0.5", "0.5\n", "1/0", "1/-2", "\u0665", "inf", "nan",
+         "0." + "1" * (MAX_RATIONAL_CHARS - 1)],
+    )
+    def test_rational_grammar_refuses(self, text):
+        with pytest.raises(ParseError):
+            parse_rational(text)
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [
+            ("+1/2", F(1, 2)),
+            ("-0.25", F(-1, 4)),
+            ("007", F(7)),
+            ("0." + "5" * (MAX_RATIONAL_CHARS - 2), F("0." + "5" * (MAX_RATIONAL_CHARS - 2))),
+        ],
+    )
+    def test_rational_grammar_accepts(self, text, value):
+        assert parse_rational(text) == value
 
 
 class TestParseInput:
@@ -374,6 +413,44 @@ class TestInputBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "exp_t_events" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("deep.json", '{"strata": ' + "[" * 100_000 + "]" * 100_000 + "}"),
+            ("long-field.csv", CSV_HEADER + "sex=" + "x" * 131_073 + ",51,100,79,100,,,,\n"),
+            ("huge-exponent.json", '{"strata": [{"parameters": {"p_do1": "1e-99999999", "p_do0": "1/2"}}]}'),
+            ("long-exponent.json", '{"strata": [{"parameters": {"p_do1": "1e-200000", "p_do0": "1/2"}}]}'),
+        ],
+        ids=["deep-json", "long-csv-field", "huge-exponent", "long-exponent"],
+    )
+    def test_ends_quickly_in_one_error_line(self, name, text, tmp_path):
+        """Run in a child process, so a hang fails the test instead of stalling the suite."""
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "harmbounds.cli", "analyze", "--input", str(path)],
+            env=src_env(), capture_output=True, text=True, timeout=5,
+        )
+        assert result.returncode == EXIT_USAGE
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+    def test_csv_label_without_equals_names_line_and_fragment(self, tmp_path, capsys):
+        path = tmp_path / "study.csv"
+        path.write_text(CSV_HEADER + "foo,51,100,79,100,,,,\nbar,10,100,10,100,,,,\n")
+        assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "line 2" in captured.err and "'foo'" in captured.err
+
+    def test_csv_blank_label_fragments_are_skipped(self, tmp_path):
+        path = tmp_path / "study.csv"
+        path.write_text(CSV_HEADER + ",51,100,79,100,,,,\nsex=men;;site=A; ,10,100,10,100,,,,\n")
+        unlabeled, labeled = parse_input(str(path), "csv").strata
+        assert unlabeled.name == "(unlabeled)"
+        assert labeled.labels == (("sex", "men"), ("site", "A"))
+
     def test_csv_counts_may_be_padded(self, tmp_path):
         path = tmp_path / "study.csv"
         path.write_text(
@@ -384,10 +461,33 @@ class TestInputBoundary:
         assert parse_input(str(path), "csv").strata[0].evidence.p0.p_do1 == F(51, 100)
 
 
+@pytest.mark.parametrize(
+    "argv,load",
+    [
+        (["example", "--format", "json"], _demo_study),
+        (["analyze", "--input", str(CORPUS), "--format", "json"], lambda: parse_input(str(CORPUS), "json")),
+    ],
+    ids=["demo", "corpus"],
+)
+def test_each_fused_stratum_is_identified_once(argv, load, monkeypatch, capsys):
+    """The fusion check runs once per stratum with natural-choice data, when
+    its evidence is built; no bound, verdict or report runs it again."""
+    fused = sum(s.evidence.p1 is not None for s in load().strata)
+    calls = []
+    check = identification.compatibility_check
+
+    def counted(p0, p1):
+        calls.append(p1)
+        return check(p0, p1)
+
+    monkeypatch.setattr(identification, "compatibility_check", counted)
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert fused > 0 and len(calls) == fused
+
+
 def test_example_never_imports_the_lp_oracle():
     """The LP oracle is a test reference; the CLI's runtime path must not load it."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     code = (
         "import contextlib, io, sys\n"
         "from harmbounds.cli import main\n"
@@ -396,7 +496,7 @@ def test_example_never_imports_the_lp_oracle():
         "print(sorted(m for m in sys.modules if m.startswith('harmbounds')))\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
     assert "harmbounds.cli" in result.stdout

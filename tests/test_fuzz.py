@@ -1,0 +1,161 @@
+"""Parser fuzzing: arbitrary JSON documents and CSV rows through `analyze`.
+
+Whatever the input file holds, the CLI must exit 0, 1 or 2.  Exit 1 prints
+nothing on stdout and exactly one `error:` line on stderr; exits 0 and 2
+print a report and nothing on stderr.  No exception may escape `main`, and
+the hypothesis deadline bounds the time of every run.
+"""
+
+import contextlib
+import csv
+import io
+import json
+from datetime import timedelta
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from harmbounds.cli import _CSV_HEADER, EXIT_ALL_INCOMPATIBLE, EXIT_OK, EXIT_USAGE, main
+
+FUZZ = settings(max_examples=300, deadline=timedelta(seconds=2))
+
+rational_texts = st.one_of(
+    st.sampled_from(["0", "1", "1/2", "3/10", "0.7", "-1/3", "1/0", "2", "", "1e-200000", "0.5 "]),
+    st.builds("{}/{}".format, st.integers(0, 12), st.integers(0, 12)),
+    st.text(max_size=12),
+)
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 15),
+    st.integers(),
+    st.floats(),
+    rational_texts,
+)
+json_values = st.recursive(
+    scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+# Valid studies, so that the analysis and both renderers run; a mutation
+# then replaces or deletes one node of most of them.
+probabilities = st.integers(1, 12).flatmap(lambda q: st.integers(0, q).map(lambda p: f"{p}/{q}"))
+arm_counts = st.integers(1, 12).flatmap(
+    lambda total: st.fixed_dictionaries({"events": st.integers(0, total), "total": st.just(total)})
+)
+count_block = st.fixed_dictionaries({"treated": arm_counts, "untreated": arm_counts})
+counts_stratum = st.fixed_dictionaries({"experimental": count_block}, optional={"observational": count_block})
+natural_choice = st.one_of(
+    st.just({}),
+    st.fixed_dictionaries({"pi1": st.just("0"), "q0": probabilities}),
+    st.fixed_dictionaries({"pi1": st.just("1"), "q1": probabilities}),
+    st.fixed_dictionaries({"pi1": st.sampled_from(["1/2", "3/10"]), "q1": probabilities, "q0": probabilities}),
+)
+parameters_stratum = st.builds(
+    lambda p_do1, p_do0, p1: {"parameters": {"p_do1": p_do1, "p_do0": p_do0, **p1}},
+    probabilities, probabilities, natural_choice,
+)
+valid_studies = st.lists(counts_stratum | parameters_stratum, min_size=1, max_size=4).map(
+    lambda strata: {"strata": [{"labels": {"case": str(i)}, **s} for i, s in enumerate(strata)]}
+)
+
+
+def _paths(node, path=()):
+    """The key path of every node of a JSON value, the root first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_studies(draw):
+    study = draw(valid_studies)
+    if draw(st.integers(0, 3)) == 0:
+        return study
+    *parents, key = draw(st.sampled_from(list(_paths(study))[1:]))
+    node = study
+    for step in parents:
+        node = node[step]
+    if isinstance(node, dict) and draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = draw(rational_texts | json_values)
+    return study
+
+
+json_documents = st.one_of(
+    mutated_studies().map(json.dumps),
+    json_values.map(json.dumps),
+    st.text(max_size=200),
+)
+
+csv_fields = st.one_of(
+    st.integers(0, 12).map(str),
+    st.sampled_from(["", " 5 ", "sex=men", "foo", "a=b;c=d", ";", "=", '"', "1.5", "-1", "1e3"]),
+    st.text(max_size=8),
+)
+csv_counts = st.integers(1, 12).flatmap(lambda total: st.tuples(st.integers(0, total), st.just(total)))
+valid_rows = st.builds(
+    lambda t, c, observed: [*map(str, t + c), *(map(str, observed) if observed else ["", "", "", ""])],
+    csv_counts, csv_counts, st.none() | st.builds(lambda t, c: t + c, csv_counts, csv_counts),
+)
+
+
+@st.composite
+def csv_documents(draw):
+    strata = draw(st.lists(valid_rows, min_size=1, max_size=4))
+    rows = [list(_CSV_HEADER)] + [[f"case={i}", *row] for i, row in enumerate(strata)]
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        if draw(st.integers(0, 4)) == 0 and len(row) > 1:
+            row.pop()
+        else:
+            row[draw(st.integers(0, len(row) - 1))] = draw(csv_fields)
+    return _csv_text(rows) + draw(st.just("") | st.text(max_size=40))
+
+
+def _csv_text(rows: list[list[str]]) -> str:
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _analyze(path, fmt: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(["analyze", "--input", str(path), "--format", fmt])
+    return status, out.getvalue(), err.getvalue()
+
+
+def _assert_contract(status: int, out: str, err: str) -> None:
+    assert status in (EXIT_OK, EXIT_USAGE, EXIT_ALL_INCOMPATIBLE)
+    if status == EXIT_USAGE:
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+    else:
+        assert out and err == ""
+
+
+@FUZZ
+@given(text=json_documents, fmt=st.sampled_from(["text", "json"]))
+def test_any_json_document(workdir, text, fmt):
+    path = workdir / "study.json"
+    path.write_text(text, encoding="utf-8")
+    _assert_contract(*_analyze(path, fmt))
+
+
+@FUZZ
+@given(text=csv_documents(), fmt=st.sampled_from(["text", "json"]))
+def test_any_csv_rows(workdir, text, fmt):
+    path = workdir / "study.csv"
+    path.write_text(text, encoding="utf-8")
+    _assert_contract(*_analyze(path, fmt))

@@ -15,7 +15,7 @@ from harmbounds import (
     observables_from_joint,
     true_estimands,
 )
-from harmbounds.identification import Stratum, identify
+from harmbounds.identification import Stratum
 from harmbounds.lp_oracle import build_program, solve
 
 from conftest import joints
@@ -57,25 +57,25 @@ class TestCompatibilityCheck:
 
 class TestIdentify:
     def test_demo_strata(self, demo_params):
-        assert identify(*demo_params) == (
+        assert EvidenceSet(*demo_params).strata == (
             Stratum(0, F(3, 10), F(1), F(3, 10)),
             Stratum(1, F(7, 10), F(3, 10), F(1)),
         )
 
     def test_experimental_only_is_one_population_stratum(self, demo_params):
         p0, _ = demo_params
-        assert identify(p0, None) == (Stratum(None, F(1), p0.p_do1, p0.p_do0),)
+        assert EvidenceSet(p0).strata == (Stratum(None, F(1), p0.p_do1, p0.p_do0),)
 
     def test_empty_stratum_is_omitted(self):
         p0 = ExperimentalParams(F(2, 7), F(3, 7))
         p1 = ObservationalParams(F(0), None, F(3, 7))
-        assert identify(p0, p1) == (Stratum(0, F(1), F(2, 7), F(3, 7)),)
+        assert EvidenceSet(p0, p1).strata == (Stratum(0, F(1), F(2, 7), F(3, 7)),)
 
     def test_incompatible_raises(self):
         p0 = ExperimentalParams(F(1, 10), F(1, 2))
         p1 = ObservationalParams(F(9, 10), F(9, 10), F(1, 2))
         with pytest.raises(IncompatibleEvidence, match="do\\(A=1\\)"):
-            identify(p0, p1)
+            EvidenceSet(p0, p1).strata
 
 
 class TestIdentifyCate:
