@@ -48,7 +48,14 @@ def _frechet(first: Fraction, second: Fraction) -> tuple[Fraction, Fraction]:
 
 
 def _mixture(parts: Iterable[tuple[Fraction, tuple[Fraction, Fraction]]]) -> Interval:
-    """The mass-weighted sum of per-stratum (lower, upper) bounds."""
+    """The mass-weighted sum of per-stratum (lower, upper) bounds.
+
+    The non-empty strata partition the population, so a lone stratum has
+    mass 1 and its bounds are returned as they are.
+    """
+    parts = list(parts)
+    if len(parts) == 1:
+        return Interval(*parts[0][1])
     lower = upper = ZERO
     for mass, (lo, hi) in parts:
         lower += mass * lo

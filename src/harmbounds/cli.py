@@ -19,7 +19,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Context
 from fractions import Fraction
 from importlib import resources
 from typing import Optional
@@ -46,6 +46,8 @@ EXIT_COUNTEREXAMPLE = 3
 # Longest accepted rational parameter; longer text is refused before any arithmetic.
 MAX_RATIONAL_CHARS = 100
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+|/[0-9]+)?")
+# Rounds inexact decimals; its flags are set by every division and never read.
+_SIX_DIGITS = Context(prec=6)
 
 _CSV_HEADER = [
     "labels",
@@ -64,7 +66,7 @@ _CSV_HEADER = [
 # rational rendering
 
 def rational_str(x: Fraction) -> str:
-    return str(Fraction(x))
+    return str(x)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -85,15 +87,11 @@ def decimal_str(x: Fraction) -> tuple[str, bool]:
     is when its denominator divides 10^12; everything else is rounded to 6
     significant digits.
     """
-    x = Fraction(x)
     if 10**12 % x.denominator == 0:
         whole, frac = divmod(abs(x.numerator) * 10**12 // x.denominator, 10**12)
         places = str(frac).rjust(12, "0").rstrip("0")
         return ("-" if x < 0 else "") + str(whole) + ("." + places if places else ""), True
-    with localcontext() as ctx:
-        ctx.prec = 6
-        approx = Decimal(x.numerator) / Decimal(x.denominator)
-    return str(approx), False
+    return str(_SIX_DIGITS.divide(x.numerator, x.denominator)), False
 
 
 def _rat_json(x: Optional[Fraction]) -> Optional[dict]:
@@ -159,6 +157,8 @@ def _cell(block: object, arm: str, where: str) -> tuple[int, int]:
         raise ParseError(
             f"{where}: events and total must be integers, got {events!r} and {total!r}"
         )
+    if max(abs(events), abs(total)) >= 10**MAX_RATIONAL_CHARS:
+        raise ParseError(f"{where}: counts may have at most {MAX_RATIONAL_CHARS} digits")
     if total <= 0:
         raise ValidationError(f"{where}: total must be positive, got {total}")
     if events < 0 or events > total:
@@ -200,6 +200,8 @@ def _stratum_from_parameters(
             return None
         try:
             return as_prob(parse_rational(str(params[key])))
+        except ParseError as exc:
+            raise ParseError(f"{where}, parameter {key!r}: {exc}") from exc
         except ValueError as exc:
             raise ValidationError(f"{where}, parameter {key!r}: {exc}") from exc
 
@@ -230,6 +232,12 @@ def _parse_json_input(path: str) -> StudyInput:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except RecursionError:
         raise ParseError(f"{path}: JSON nested too deeply") from None
+    except UnicodeDecodeError:  # also a ValueError; main reports it as it is
+        raise
+    except ValueError:  # int() refuses numbers over sys.get_int_max_str_digits() digits
+        raise ParseError(
+            f"{path}: a number is too long; counts may have at most {MAX_RATIONAL_CHARS} digits"
+        ) from None
     if not isinstance(data, dict) or not isinstance(data.get("strata"), list):
         raise ParseError(f"{path}: expected a top-level object with a 'strata' list")
     strata = []
@@ -257,6 +265,10 @@ def _csv_cells(row: list[str], first: int, where: str) -> dict:
         if not (text.isascii() and text.isdigit()):
             raise ParseError(
                 f"{where}, {_CSV_HEADER[column]}: expected a whole number, got {row[column]!r}"
+            )
+        if len(text) > MAX_RATIONAL_CHARS:
+            raise ParseError(
+                f"{where}, {_CSV_HEADER[column]}: counts may have at most {MAX_RATIONAL_CHARS} digits"
             )
         counts.append(int(text))
     return {
@@ -562,9 +574,29 @@ def command_verify(n: int, seed: int) -> tuple[int, list[propositions.Propositio
     return (EXIT_COUNTEREXAMPLE if failed else EXIT_OK), reports
 
 
+class _StratumEncoder(json.JSONEncoder):
+    """Encodes a `report_to_json` document one stratum per chunk, so that
+    `json.dump` makes one write per stratum instead of one per token.
+
+    The bytes are those of the plain encoder: each stratum is encoded alone
+    and its lines are shifted two levels in, which is safe because the
+    encoder escapes every newline inside a string.  The strata list is never
+    empty, because `StudyInput` refuses a study without strata.
+    """
+
+    def iterencode(self, o, _one_shot=False):
+        outer = "\n" + " " * self.indent
+        inner = outer + " " * self.indent
+        head = "{" + outer + '"strata": [' + inner
+        for entry in o["strata"]:
+            yield head + "".join(super().iterencode(entry, _one_shot=True)).replace("\n", inner)
+            head = "," + inner
+        yield outer + "]\n}"
+
+
 def _emit_report(report: AnalysisReport, fmt: str, stream) -> None:
     if fmt == "json":
-        json.dump(report_to_json(report), stream, indent=2)
+        json.dump(report_to_json(report), stream, indent=2, cls=_StratumEncoder)
         stream.write("\n")
     else:
         stream.write(render_text(report, color=_use_color(stream)))

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -435,6 +436,58 @@ class TestInputBoundary:
         assert result.stdout == ""
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
+    def test_bad_parameter_names_file_stratum_and_parameter(self, tmp_path, capsys):
+        payload = {"strata": [{"parameters": {"p_do1": "1e-200000", "p_do0": "1/2"}}]}
+        path = write_json(tmp_path, payload)
+        assert main(["analyze", "--input", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {path}, stratum 0, parameter 'p_do1': ")
+
+    @pytest.mark.parametrize(
+        "digits,where",
+        [(3_000, "stratum 0, experimental.treated"), (5_000, None)],
+        ids=["3000-digits", "5000-digits"],
+    )
+    def test_json_counts_are_capped(self, digits, where, tmp_path, capsys):
+        """Counts of 3,000 digits used to be analyzed and then fail while
+        rendering; counts over 4,300 digits failed inside the JSON reader."""
+        path = tmp_path / "study.json"
+        treated, untreated = "1" * digits, "1" * (digits - 1) + "3"
+        path.write_text(
+            '{"strata": [{"experimental": {'
+            f'"treated": {{"events": 1, "total": {treated}}}, '
+            f'"untreated": {{"events": 1, "total": {untreated}}}}}}}]}}'
+        )
+        assert main(["analyze", "--input", str(path), "--format", "json"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {path}")
+        assert f"at most {MAX_RATIONAL_CHARS} digits" in captured.err
+        assert where is None or where in captured.err
+
+    def test_json_not_utf8_is_not_called_too_long(self, tmp_path, capsys):
+        path = tmp_path / "study.json"
+        path.write_bytes(b'{"strata": [], "note": "\xff"}')
+        assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "utf-8" in err and "too long" not in err
+
+    def test_csv_counts_are_capped(self, tmp_path, capsys):
+        path = tmp_path / "study.csv"
+        path.write_text(CSV_HEADER + f"sex=men,51,100,79,{'1' * 5_000},,,,\n")
+        assert main(["analyze", "--input", str(path), "--format", "json"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {path}, line 2, exp_c_total: ")
+        assert f"at most {MAX_RATIONAL_CHARS} digits" in captured.err
+
+    def test_counts_of_the_longest_accepted_length(self, tmp_path):
+        longest = 10**MAX_RATIONAL_CHARS - 1
+        path = write_json(tmp_path, _with(("experimental", "treated"), {"events": 1, "total": longest}))
+        assert parse_input(path, "json").strata[0].evidence.p0.p_do1 == F(1, longest)
+
     def test_csv_label_without_equals_names_line_and_fragment(self, tmp_path, capsys):
         path = tmp_path / "study.csv"
         path.write_text(CSV_HEADER + "foo,51,100,79,100,,,,\nbar,10,100,10,100,,,,\n")
@@ -484,6 +537,33 @@ def test_each_fused_stratum_is_identified_once(argv, load, monkeypatch, capsys):
     assert main(argv) == EXIT_OK
     capsys.readouterr()
     assert fused > 0 and len(calls) == fused
+
+
+class _CountingStream(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv,load",
+    [
+        (["example", "--format", "json"], _demo_study),
+        (["analyze", "--input", str(CORPUS), "--format", "json"], lambda: parse_input(str(CORPUS), "json")),
+    ],
+    ids=["demo", "corpus"],
+)
+def test_json_report_is_written_one_stratum_at_a_time(argv, load, monkeypatch):
+    """Each write to an unbuffered stdout is a system call, so the JSON
+    report must not be written token by token (981 writes for the demo)."""
+    stream = _CountingStream()
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(argv) == EXIT_OK
+    strata = len(load().strata)
+    assert 0 < stream.writes <= strata + 3
+    assert stream.getvalue() == json.dumps(report_to_json(analyze(load())), indent=2) + "\n"
 
 
 def test_example_never_imports_the_lp_oracle():

@@ -3,7 +3,9 @@
 Whatever the input file holds, the CLI must exit 0, 1 or 2.  Exit 1 prints
 nothing on stdout and exactly one `error:` line on stderr; exits 0 and 2
 print a report and nothing on stderr.  No exception may escape `main`, and
-the hypothesis deadline bounds the time of every run.
+the hypothesis deadline bounds the time of every run.  For valid studies
+the JSON report must be the bytes of the standard library's indented
+encoding of `report_to_json`.
 """
 
 import contextlib
@@ -16,7 +18,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmbounds.cli import _CSV_HEADER, EXIT_ALL_INCOMPATIBLE, EXIT_OK, EXIT_USAGE, main
+from harmbounds.cli import (
+    _CSV_HEADER,
+    EXIT_ALL_INCOMPATIBLE,
+    EXIT_OK,
+    EXIT_USAGE,
+    StratumInput,
+    analyze,
+    main,
+    parse_input,
+    report_to_json,
+)
 
 FUZZ = settings(max_examples=300, deadline=timedelta(seconds=2))
 
@@ -159,3 +171,36 @@ def test_any_csv_rows(workdir, text, fmt):
     path = workdir / "study.csv"
     path.write_text(text, encoding="utf-8")
     _assert_contract(*_analyze(path, fmt))
+
+
+# Fusion fails for each of these: P(Y=1|do(A=1)) lies outside
+# [pi1*q1, pi1*q1 + 1 - pi1], or P(Y=1|do(A=0)) outside [(1-pi1)*q0, (1-pi1)*q0 + pi1].
+incompatible_parameters = st.sampled_from([
+    {"p_do1": "0", "p_do0": "1/2", "pi1": "1/2", "q1": "1", "q0": "1/2"},
+    {"p_do1": "1/10", "p_do0": "1/2", "pi1": "9/10", "q1": "9/10", "q0": "1/2"},
+    {"p_do1": "1/2", "p_do0": "1", "pi1": "1/2", "q1": "1/2", "q0": "0"},
+]).map(lambda params: {"parameters": params})
+label_texts = st.one_of(st.sampled_from(["", "\n", '"', "\\", "\u00e9\u4e2d\U0001f600", "a=b;c"]), st.text(max_size=6))
+
+
+labeled_studies = st.lists(
+    st.builds(
+        lambda labels, stratum: {"labels": labels, **stratum},
+        st.dictionaries(label_texts, label_texts, max_size=3),
+        counts_stratum | parameters_stratum | incompatible_parameters,
+    ),
+    min_size=1,
+    max_size=5,
+    unique_by=lambda stratum: StratumInput(tuple(stratum["labels"].items()), None).name,
+).map(lambda strata: {"strata": strata})
+
+
+@FUZZ
+@given(study=labeled_studies)
+def test_json_report_is_the_standard_encoding(workdir, study):
+    path = workdir / "labeled.json"
+    path.write_text(json.dumps(study), encoding="utf-8")
+    status, out, err = _analyze(path, "json")
+    assert status in (EXIT_OK, EXIT_ALL_INCOMPATIBLE) and err == ""
+    expected = report_to_json(analyze(parse_input(str(path), "json")))
+    assert out == json.dumps(expected, indent=2) + "\n"
