@@ -71,8 +71,12 @@ def test_corpus_study_file_is_generated():
             ["analyze", "--input", str(GOLDEN / "corpus_study.json"), "--format", "json"],
             "corpus_report.json",
         ),
+        (
+            ["analyze", "--input", str(GOLDEN / "corpus_study.json"), "--format", "text"],
+            "corpus_report.txt",
+        ),
     ],
-    ids=["example-text", "example-json", "corpus-json"],
+    ids=["example-text", "example-json", "corpus-json", "corpus-text"],
 )
 def test_output_matches_golden(argv, golden, capsys, monkeypatch):
     monkeypatch.setenv("HARMBOUNDS_COLOR", "never")
