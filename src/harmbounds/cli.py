@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from decimal import Context
 from fractions import Fraction
 from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import bounds as bounds_mod
 from . import propositions
@@ -65,10 +65,6 @@ _CSV_HEADER = [
 # ---------------------------------------------------------------------------
 # rational rendering
 
-def rational_str(x: Fraction) -> str:
-    return str(x)
-
-
 def parse_rational(text: str) -> Fraction:
     """Accepts 'p/q' and 'd[.d]' strings with an optional sign, no exponent,
     at most MAX_RATIONAL_CHARS long; both parse to exact rationals."""
@@ -98,7 +94,7 @@ def _rat_json(x: Optional[Fraction]) -> Optional[dict]:
     if x is None:
         return None
     decimal, exact = decimal_str(x)
-    return {"rational": rational_str(x), "decimal": decimal, "exact": exact}
+    return {"rational": str(x), "decimal": decimal, "exact": exact}
 
 
 def _interval_json(interval: Optional[bounds_mod.Interval]) -> Optional[dict]:
@@ -111,9 +107,7 @@ def _interval_json(interval: Optional[bounds_mod.Interval]) -> Optional[dict]:
     }
 
 
-def _verdict_json(verdict: Optional[propositions.Verdict]) -> Optional[dict]:
-    if verdict is None:
-        return None
+def _verdict_json(verdict: propositions.Verdict) -> dict:
     return {
         "school": verdict.school,
         "detected": verdict.detected,
@@ -326,30 +320,33 @@ def _parse_csv_input(path: str) -> StudyInput:
     return StudyInput(tuple(strata))
 
 
-def parse_input(path: str, format: str) -> StudyInput:
+def parse_input(path: str) -> StudyInput:
+    """A CSV study when the path ends in .csv, a JSON one otherwise."""
     if not os.path.isfile(path):
         raise ParseError(f"no such file: {path}")
-    if format == "json":
-        return _parse_json_input(path)
-    if format == "csv":
+    if path.lower().endswith(".csv"):
         return _parse_csv_input(path)
-    raise ValueError(f"unknown input format {format!r}")
-
-
-def _infer_format(path: str) -> str:
-    return "csv" if path.lower().endswith(".csv") else "json"
+    return _parse_json_input(path)
 
 
 # ---------------------------------------------------------------------------
 # analysis
 
-@dataclass(frozen=True)
-class StratumReport:
+class Level(NamedTuple):
+    """The bounds and both schools' verdicts at one evidence level."""
+
+    bounds: dict[str, Optional[bounds_mod.Interval]]
+    verdicts: tuple[propositions.Verdict, ...]  # interventionist, counterfactual
+
+
+class StratumReport(NamedTuple):
     stratum: StratumInput
-    p0_bounds: dict[str, bounds_mod.Interval]
-    fused_bounds: Optional[dict[str, Optional[bounds_mod.Interval]]]
-    verdicts_p0: dict[str, propositions.Verdict]
-    verdicts_fused: Optional[dict[str, propositions.Verdict]]
+    p0_only: Level
+    fused: Optional[Level]  # None without natural-choice data or when incompatible
+
+    @property
+    def levels(self) -> tuple[tuple[str, Optional[Level]], ...]:
+        return ("p0_only", self.p0_only), ("fused", self.fused)
 
     @property
     def incompatible(self) -> bool:
@@ -357,66 +354,51 @@ class StratumReport:
         return fusion is not None and not fusion.compatible
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    strata: tuple[StratumReport, ...]
-
-    @property
-    def all_incompatible(self) -> bool:
-        return all(s.incompatible for s in self.strata)
+def _level(evidence: bounds_mod.EvidenceSet) -> Level:
+    """Without natural-choice data the conditional ATEs are vacuous and no
+    other conditional bound is reported; with it, each conditional bound of
+    an empty A* stratum is None."""
+    bounds = {
+        "harm": bounds_mod.harm_bounds(evidence),
+        "benefit": bounds_mod.benefit_bounds(evidence),
+        "ate": bounds_mod.ate_bounds(evidence),
+    }
+    # Literal keys, so that every stratum's dict shares the same strings.
+    conditional = [(("cate0", "cate1"), bounds_mod.cate_bounds)]
+    empty = set()
+    if evidence.p1 is not None:
+        conditional += [
+            (("harm_given0", "harm_given1"), bounds_mod.conditional_harm_bounds),
+            (("benefit_given0", "benefit_given1"), bounds_mod.conditional_benefit_bounds),
+        ]
+        empty = {0, 1} - {s.astar for s in evidence.strata}
+    for keys, fn in conditional:
+        for astar, key in enumerate(keys):
+            bounds[key] = None if astar in empty else fn(evidence, astar)
+    verdicts = (
+        propositions.interventionist_verdict(evidence),
+        propositions.counterfactual_verdict(evidence),
+    )
+    return Level(bounds, verdicts)
 
 
 def _analyze_stratum(stratum: StratumInput) -> StratumReport:
     evidence = stratum.evidence
-    p0_only = bounds_mod.EvidenceSet(evidence.p0)
-    p0_bounds = {
-        "harm": bounds_mod.harm_bounds(p0_only),
-        "benefit": bounds_mod.benefit_bounds(p0_only),
-        "ate": bounds_mod.ate_bounds(p0_only),
-        "cate0": bounds_mod.cate_bounds(p0_only, 0),
-        "cate1": bounds_mod.cate_bounds(p0_only, 1),
-    }
-    verdicts_p0 = {
-        "interventionist": propositions.interventionist_verdict(p0_only),
-        "counterfactual": propositions.counterfactual_verdict(p0_only),
-    }
-    if evidence.fusion is None or not evidence.fusion.compatible:
-        return StratumReport(stratum, p0_bounds, None, verdicts_p0, None)
-
-    present = {s.astar for s in evidence.strata}
-
-    def given(fn, astar: int) -> Optional[bounds_mod.Interval]:
-        """fn's interval in the A*=astar stratum; None when that stratum is empty."""
-        return fn(evidence, astar) if astar in present else None
-
-    fused_bounds = {
-        "harm": bounds_mod.harm_bounds(evidence),
-        "benefit": bounds_mod.benefit_bounds(evidence),
-        "ate": bounds_mod.ate_bounds(evidence),
-        "cate0": given(bounds_mod.cate_bounds, 0),
-        "cate1": given(bounds_mod.cate_bounds, 1),
-        "harm_given0": given(bounds_mod.conditional_harm_bounds, 0),
-        "harm_given1": given(bounds_mod.conditional_harm_bounds, 1),
-        "benefit_given0": given(bounds_mod.conditional_benefit_bounds, 0),
-        "benefit_given1": given(bounds_mod.conditional_benefit_bounds, 1),
-    }
-    verdicts_fused = {
-        "interventionist": propositions.interventionist_verdict(evidence),
-        "counterfactual": propositions.counterfactual_verdict(evidence),
-    }
-    return StratumReport(stratum, p0_bounds, fused_bounds, verdicts_p0, verdicts_fused)
+    fusion = evidence.fusion
+    fused = _level(evidence) if fusion is not None and fusion.compatible else None
+    return StratumReport(stratum, _level(bounds_mod.EvidenceSet(evidence.p0)), fused)
 
 
-def analyze(study: StudyInput) -> AnalysisReport:
-    return AnalysisReport(tuple(_analyze_stratum(s) for s in study.strata))
+def analyze(study: StudyInput) -> tuple[StratumReport, ...]:
+    return tuple(_analyze_stratum(s) for s in study.strata)
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
-def report_to_json(report: AnalysisReport) -> dict:
+def report_to_json(report: tuple[StratumReport, ...]) -> dict:
     strata = []
-    for sr in report.strata:
+    for sr in report:
         p1, fusion = sr.stratum.evidence.p1, sr.stratum.evidence.fusion
         entry: dict = {
             "labels": dict(sr.stratum.labels),
@@ -442,16 +424,16 @@ def report_to_json(report: AnalysisReport) -> dict:
                 },
             },
             "bounds": {
-                "p0_only": {k: _interval_json(v) for k, v in sr.p0_bounds.items()},
-                "fused": None
-                if sr.fused_bounds is None
-                else {k: _interval_json(v) for k, v in sr.fused_bounds.items()},
+                name: None
+                if level is None
+                else {key: _interval_json(interval) for key, interval in level.bounds.items()}
+                for name, level in sr.levels
             },
             "verdicts": {
-                "p0_only": {k: _verdict_json(v) for k, v in sr.verdicts_p0.items()},
-                "fused": None
-                if sr.verdicts_fused is None
-                else {k: _verdict_json(v) for k, v in sr.verdicts_fused.items()},
+                name: None
+                if level is None
+                else {verdict.school: _verdict_json(verdict) for verdict in level.verdicts}
+                for name, level in sr.levels
             },
             "incompatible": sr.incompatible,
         }
@@ -499,23 +481,23 @@ _TEXT_ROWS = (
 )
 
 
-def render_text(report: AnalysisReport, color: bool = False) -> str:
+def render_text(report: tuple[StratumReport, ...], color: bool = False) -> str:
     lines: list[str] = []
-    for sr in report.strata:
+    for sr in report:
         evidence = sr.stratum.evidence
         p0, p1, fusion = evidence.p0, evidence.p1, evidence.fusion
         lines.append(f"Stratum {sr.stratum.name}")
         lines.append(
             f"  Experimental risks:   P(Y=1|do(A=1)) = {_fmt_value(p0.p_do1)} "
-            f"[{rational_str(p0.p_do1)}]   P(Y=1|do(A=0)) = {_fmt_value(p0.p_do0)} "
-            f"[{rational_str(p0.p_do0)}]"
+            f"[{p0.p_do1}]   P(Y=1|do(A=0)) = {_fmt_value(p0.p_do0)} "
+            f"[{p0.p_do0}]"
         )
         if p1 is not None:
-            q1 = "undefined" if p1.q1 is None else f"{_fmt_value(p1.q1)} [{rational_str(p1.q1)}]"
-            q0 = "undefined" if p1.q0 is None else f"{_fmt_value(p1.q0)} [{rational_str(p1.q0)}]"
+            q1 = "undefined" if p1.q1 is None else f"{_fmt_value(p1.q1)} [{p1.q1}]"
+            q0 = "undefined" if p1.q0 is None else f"{_fmt_value(p1.q0)} [{p1.q0}]"
             lines.append(
                 f"  Natural-choice data:  P(A*=1) = {_fmt_value(p1.pi1)} "
-                f"[{rational_str(p1.pi1)}]   P(Y=1|A*=1) = {q1}   P(Y=1|A*=0) = {q0}"
+                f"[{p1.pi1}]   P(Y=1|A*=1) = {q1}   P(Y=1|A*=0) = {q0}"
             )
         if sr.incompatible:
             lines.append("  Fusion: INCOMPATIBLE — stratum not analyzed further")
@@ -526,29 +508,24 @@ def render_text(report: AnalysisReport, color: bool = False) -> str:
         if fusion is not None:
             lines.append("  Fusion: compatible")
         lines.append("  Sharp bounds [lower, upper]:")
-        left = "experimental only"
-        right = "with natural-choice data"
-        lines.append(f"    {'estimand':<22}{left:<24}{right}")
+        lines.append(f"    {'estimand':<22}{'experimental only':<24}with natural-choice data")
         for label, key, bold in _TEXT_ROWS:
-            p0_cell = _fmt_interval(sr.p0_bounds.get(key), False)
-            fused_cell = (
-                _fmt_interval(sr.fused_bounds.get(key), bold and color)
-                if sr.fused_bounds is not None
-                else "-"
-            )
-            if key not in sr.p0_bounds and sr.fused_bounds is None:
+            if sr.fused is None and key not in sr.p0_only.bounds:
                 continue
+            p0_cell, fused_cell = (
+                "-"
+                if level is None
+                else _fmt_interval(level.bounds.get(key), bold and color and name == "fused")
+                for name, level in sr.levels
+            )
             lines.append(f"    {label:<22}{p0_cell:<24}{fused_cell}")
         lines.append("  Harm detected?")
-        for school in ("interventionist", "counterfactual"):
-            p0_part = _fmt_verdict(sr.verdicts_p0[school])
-            fused_part = (
-                _fmt_verdict(sr.verdicts_fused[school])
-                if sr.verdicts_fused is not None
-                else "-"
+        for i, verdict in enumerate(sr.p0_only.verdicts):
+            p0_part, fused_part = (
+                "-" if level is None else _fmt_verdict(level.verdicts[i]) for _, level in sr.levels
             )
             lines.append(
-                f"    {school + ':':<17}experimental only: {p0_part}   fused: {fused_part}"
+                f"    {verdict.school + ':':<17}experimental only: {p0_part}   fused: {fused_part}"
             )
         lines.append("")
     return "\n".join(lines)
@@ -560,10 +537,10 @@ def render_text(report: AnalysisReport, color: bool = False) -> str:
 def _demo_study() -> StudyInput:
     path = resources.files("harmbounds").joinpath("data/example_study.json")
     with resources.as_file(path) as real_path:
-        return parse_input(str(real_path), "json")
+        return parse_input(str(real_path))
 
 
-def command_example() -> AnalysisReport:
+def command_example() -> tuple[StratumReport, ...]:
     """Analyze the bundled demo study."""
     return analyze(_demo_study())
 
@@ -594,7 +571,7 @@ class _StratumEncoder(json.JSONEncoder):
         yield outer + "]\n}"
 
 
-def _emit_report(report: AnalysisReport, fmt: str, stream) -> None:
+def _emit_report(report: tuple[StratumReport, ...], fmt: str, stream) -> None:
     if fmt == "json":
         json.dump(report_to_json(report), stream, indent=2, cls=_StratumEncoder)
         stream.write("\n")
@@ -609,7 +586,7 @@ def _counterexample_json(report: propositions.PropositionReport) -> dict:
         "counterexamples": [
             {
                 "atoms": {
-                    "/".join(map(str, key)): rational_str(p)
+                    "/".join(map(str, key)): str(p)
                     for key, p in zip(ATOM_KEYS, joint.atoms)
                 },
                 "details": details,
@@ -646,10 +623,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "analyze":
-            study = parse_input(args.input, _infer_format(args.input))
-            report = analyze(study)
+            report = analyze(parse_input(args.input))
             _emit_report(report, args.format, sys.stdout)
-            return EXIT_ALL_INCOMPATIBLE if report.all_incompatible else EXIT_OK
+            return EXIT_ALL_INCOMPATIBLE if all(sr.incompatible for sr in report) else EXIT_OK
         if args.command == "example":
             report = command_example()
             _emit_report(report, args.format, sys.stdout)

@@ -21,7 +21,6 @@ from harmbounds.cli import (
     main,
     parse_input,
     parse_rational,
-    rational_str,
     report_to_json,
 )
 
@@ -86,7 +85,7 @@ class TestRationalRendering:
     @pytest.mark.parametrize("text", ["21/100", "-7/25", "0.51", "0", "1"])
     def test_rational_round_trip(self, text):
         value = parse_rational(text)
-        assert parse_rational(rational_str(value)) == value
+        assert parse_rational(str(value)) == value
 
     def test_bad_rational(self):
         with pytest.raises(ParseError):
@@ -116,7 +115,7 @@ class TestRationalRendering:
 
 class TestParseInput:
     def test_demo_counts(self, tmp_path):
-        study = parse_input(write_json(tmp_path, DEMO_COUNTS), "json")
+        study = parse_input(write_json(tmp_path, DEMO_COUNTS))
         evidence = study.strata[0].evidence
         assert (evidence.p0.p_do1, evidence.p0.p_do0) == (F(51, 100), F(79, 100))
         assert (evidence.p1.pi1, evidence.p1.q1, evidence.p1.q0) == (
@@ -129,18 +128,18 @@ class TestParseInput:
         payload = json.loads(json.dumps(DEMO_COUNTS))
         payload["strata"][0]["experimental"]["treated"]["events"] = 105
         with pytest.raises(ValidationError, match="experimental.treated"):
-            parse_input(write_json(tmp_path, payload), "json")
+            parse_input(write_json(tmp_path, payload))
 
     def test_zero_total_rejected(self, tmp_path):
         payload = json.loads(json.dumps(DEMO_COUNTS))
         payload["strata"][0]["observational"]["untreated"] = {"events": 0, "total": 0}
         with pytest.raises(ValidationError, match="observational.untreated"):
-            parse_input(write_json(tmp_path, payload), "json")
+            parse_input(write_json(tmp_path, payload))
 
     def test_missing_observational_block(self, tmp_path):
         payload = json.loads(json.dumps(DEMO_COUNTS))
         del payload["strata"][0]["observational"]
-        study = parse_input(write_json(tmp_path, payload), "json")
+        study = parse_input(write_json(tmp_path, payload))
         assert study.strata[0].evidence.p1 is None
 
     def test_parameters_variant(self, tmp_path):
@@ -158,7 +157,7 @@ class TestParseInput:
                 }
             ]
         }
-        study = parse_input(write_json(tmp_path, payload), "json")
+        study = parse_input(write_json(tmp_path, payload))
         assert study.strata[0].evidence.p0.p_do1 == F(51, 100)
         assert study.strata[0].evidence.p1.pi1 == F(7, 10)
 
@@ -166,12 +165,12 @@ class TestParseInput:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ParseError, match="line"):
-            parse_input(str(path), "json")
+            parse_input(str(path))
 
     def test_duplicate_labels(self, tmp_path):
         payload = {"strata": [DEMO_COUNTS["strata"][0], DEMO_COUNTS["strata"][0]]}
         with pytest.raises(ValidationError, match="duplicate"):
-            parse_input(write_json(tmp_path, payload), "json")
+            parse_input(write_json(tmp_path, payload))
 
     def test_csv_round(self, tmp_path):
         path = tmp_path / "study.csv"
@@ -181,7 +180,7 @@ class TestParseInput:
             "sex=men,51,100,79,100,21,70,9,30\n"
             "sex=women,10,100,10,100,,,,\n"
         )
-        study = parse_input(str(path), "csv")
+        study = parse_input(str(path))
         assert len(study.strata) == 2
         assert study.strata[0].evidence.p1.pi1 == F(7, 10)
         assert study.strata[1].evidence.p1 is None
@@ -190,29 +189,30 @@ class TestParseInput:
         path = tmp_path / "study.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ParseError, match="header"):
-            parse_input(str(path), "csv")
+            parse_input(str(path))
 
     def test_missing_file(self):
         with pytest.raises(ParseError, match="no such file"):
-            parse_input("/nonexistent/study.json", "json")
+            parse_input("/nonexistent/study.json")
 
 
 class TestAnalyze:
     def test_demo_reproduces_published_table(self, tmp_path):
-        study = parse_input(write_json(tmp_path, DEMO_COUNTS), "json")
-        report = analyze(study)
-        sr = report.strata[0]
-        assert sr.p0_bounds["harm"].lower == 0
-        assert sr.fused_bounds["harm"].lower == F(21, 100)
-        assert sr.p0_bounds["ate"].lower == F(-7, 25)
-        assert sr.fused_bounds["ate"].lower == F(-7, 25)
-        assert sr.p0_bounds["cate1"].lower == -1
-        assert sr.fused_bounds["cate1"].lower == F(-7, 10)
-        assert sr.p0_bounds["cate0"].lower == -1
-        assert sr.fused_bounds["cate0"].lower == F(7, 10)
-        for school in ("interventionist", "counterfactual"):
-            assert not sr.verdicts_p0[school].detected
-            assert sr.verdicts_fused[school].detected
+        study = parse_input(write_json(tmp_path, DEMO_COUNTS))
+        (sr,) = analyze(study)
+        p0_only, fused = sr.p0_only.bounds, sr.fused.bounds
+        assert p0_only["harm"].lower == 0
+        assert fused["harm"].lower == F(21, 100)
+        assert p0_only["ate"].lower == F(-7, 25)
+        assert fused["ate"].lower == F(-7, 25)
+        assert p0_only["cate1"].lower == -1
+        assert fused["cate1"].lower == F(-7, 10)
+        assert p0_only["cate0"].lower == -1
+        assert fused["cate0"].lower == F(7, 10)
+        for level in (sr.p0_only, sr.fused):
+            assert [v.school for v in level.verdicts] == ["interventionist", "counterfactual"]
+        assert not any(v.detected for v in sr.p0_only.verdicts)
+        assert all(v.detected for v in sr.fused.verdicts)
 
     def test_positive_marginal_effect_detected_at_p0_level(self, tmp_path):
         payload = {
@@ -226,12 +226,10 @@ class TestAnalyze:
                 }
             ]
         }
-        report = analyze(parse_input(write_json(tmp_path, payload), "json"))
-        sr = report.strata[0]
-        assert sr.verdicts_p0["interventionist"].detected
-        assert sr.verdicts_p0["counterfactual"].detected
+        (sr,) = analyze(parse_input(write_json(tmp_path, payload)))
+        assert all(v.detected for v in sr.p0_only.verdicts)
 
-    def test_incompatible_stratum_flagged_others_analyzed(self, tmp_path):
+    def test_incompatible_stratum_flagged_others_analyzed(self, tmp_path, capsys):
         payload = {
             "strata": [
                 {
@@ -247,12 +245,14 @@ class TestAnalyze:
                 DEMO_COUNTS["strata"][0] | {"labels": {"sex": "women"}},
             ]
         }
-        report = analyze(parse_input(write_json(tmp_path, payload), "json"))
-        assert report.strata[0].incompatible
-        assert report.strata[0].fused_bounds is None
-        assert not report.strata[1].incompatible
-        assert report.strata[1].fused_bounds is not None
-        assert not report.all_incompatible
+        path = write_json(tmp_path, payload)
+        report = analyze(parse_input(path))
+        assert report[0].incompatible
+        assert report[0].fused is None
+        assert not report[1].incompatible
+        assert report[1].fused is not None
+        assert main(["analyze", "--input", path]) == EXIT_OK
+        capsys.readouterr()
 
 
 class TestJsonReport:
@@ -486,7 +486,7 @@ class TestInputBoundary:
     def test_counts_of_the_longest_accepted_length(self, tmp_path):
         longest = 10**MAX_RATIONAL_CHARS - 1
         path = write_json(tmp_path, _with(("experimental", "treated"), {"events": 1, "total": longest}))
-        assert parse_input(path, "json").strata[0].evidence.p0.p_do1 == F(1, longest)
+        assert parse_input(path).strata[0].evidence.p0.p_do1 == F(1, longest)
 
     def test_csv_label_without_equals_names_line_and_fragment(self, tmp_path, capsys):
         path = tmp_path / "study.csv"
@@ -500,7 +500,7 @@ class TestInputBoundary:
     def test_csv_blank_label_fragments_are_skipped(self, tmp_path):
         path = tmp_path / "study.csv"
         path.write_text(CSV_HEADER + ",51,100,79,100,,,,\nsex=men;;site=A; ,10,100,10,100,,,,\n")
-        unlabeled, labeled = parse_input(str(path), "csv").strata
+        unlabeled, labeled = parse_input(str(path)).strata
         assert unlabeled.name == "(unlabeled)"
         assert labeled.labels == (("sex", "men"), ("site", "A"))
 
@@ -511,14 +511,14 @@ class TestInputBoundary:
             "obs_t_events,obs_t_total,obs_c_events,obs_c_total\n"
             "sex=men, 51 ,100,79,100,21,70,9,30\n"
         )
-        assert parse_input(str(path), "csv").strata[0].evidence.p0.p_do1 == F(51, 100)
+        assert parse_input(str(path)).strata[0].evidence.p0.p_do1 == F(51, 100)
 
 
 @pytest.mark.parametrize(
     "argv,load",
     [
         (["example", "--format", "json"], _demo_study),
-        (["analyze", "--input", str(CORPUS), "--format", "json"], lambda: parse_input(str(CORPUS), "json")),
+        (["analyze", "--input", str(CORPUS), "--format", "json"], lambda: parse_input(str(CORPUS))),
     ],
     ids=["demo", "corpus"],
 )
@@ -551,7 +551,7 @@ class _CountingStream(io.StringIO):
     "argv,load",
     [
         (["example", "--format", "json"], _demo_study),
-        (["analyze", "--input", str(CORPUS), "--format", "json"], lambda: parse_input(str(CORPUS), "json")),
+        (["analyze", "--input", str(CORPUS), "--format", "json"], lambda: parse_input(str(CORPUS))),
     ],
     ids=["demo", "corpus"],
 )

@@ -202,5 +202,5 @@ def test_json_report_is_the_standard_encoding(workdir, study):
     path.write_text(json.dumps(study), encoding="utf-8")
     status, out, err = _analyze(path, "json")
     assert status in (EXIT_OK, EXIT_ALL_INCOMPATIBLE) and err == ""
-    expected = report_to_json(analyze(parse_input(str(path), "json")))
+    expected = report_to_json(analyze(parse_input(str(path))))
     assert out == json.dumps(expected, indent=2) + "\n"
