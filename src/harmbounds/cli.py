@@ -518,7 +518,7 @@ def render_text(report: tuple[StratumReport, ...], color: bool = False) -> str:
                 else _fmt_interval(level.bounds.get(key), bold and color and name == "fused")
                 for name, level in sr.levels
             )
-            lines.append(f"    {label:<22}{p0_cell:<24}{fused_cell}")
+            lines.append(f"    {label:<22}{p0_cell:<23} {fused_cell}")
         lines.append("  Harm detected?")
         for i, verdict in enumerate(sr.p0_only.verdicts):
             p0_part, fused_part = (
