@@ -134,11 +134,13 @@ class StudyInput:
     strata: tuple[StratumInput, ...]
 
     def __post_init__(self) -> None:
-        names = [s.name for s in self.strata]
-        if len(set(names)) != len(names):
-            raise ValidationError("duplicate stratum labels")
         if not self.strata:
             raise ValidationError("study contains no strata")
+        names = set()
+        for stratum in self.strata:
+            if stratum.name in names:
+                raise ValidationError(f"duplicate stratum label {stratum.name!r}")
+            names.add(stratum.name)
 
 
 def _cell(block: object, arm: str, where: str) -> tuple[int, int]:
@@ -153,11 +155,19 @@ def _cell(block: object, arm: str, where: str) -> tuple[int, int]:
         )
     if max(abs(events), abs(total)) >= 10**MAX_RATIONAL_CHARS:
         raise ParseError(f"{where}: counts may have at most {MAX_RATIONAL_CHARS} digits")
-    if total <= 0:
-        raise ValidationError(f"{where}: total must be positive, got {total}")
+    if total < 0:
+        raise ValidationError(f"{where}: total must not be negative, got {total}")
     if events < 0 or events > total:
         raise ValidationError(f"{where}: events {events} outside [0, {total}]")
     return events, total
+
+
+def _risk(block: object, arm: str, where: str) -> Fraction:
+    """The event proportion of an experimental arm, which needs patients."""
+    events, total = _cell(block, arm, where)
+    if total == 0:
+        raise ValidationError(f"{where}: total must be positive, got 0")
+    return Fraction(events, total)
 
 
 def _stratum_from_counts(
@@ -166,17 +176,22 @@ def _stratum_from_counts(
     observational: object,
     where: str,
 ) -> StratumInput:
-    t_events, t_total = _cell(experimental, "treated", f"{where}, experimental.treated")
-    c_events, c_total = _cell(experimental, "untreated", f"{where}, experimental.untreated")
-    p0 = ExperimentalParams(Fraction(t_events, t_total), Fraction(c_events, c_total))
+    p0 = ExperimentalParams(
+        _risk(experimental, "treated", f"{where}, experimental.treated"),
+        _risk(experimental, "untreated", f"{where}, experimental.untreated"),
+    )
     p1 = None
     if observational is not None:
+        # A natural-choice arm may be empty: its A* stratum then has mass 0
+        # and its observed risk is undefined.
         ot_events, ot_total = _cell(observational, "treated", f"{where}, observational.treated")
         oc_events, oc_total = _cell(observational, "untreated", f"{where}, observational.untreated")
+        if ot_total + oc_total == 0:
+            raise ValidationError(f"{where}, observational: both arms have total 0")
         p1 = ObservationalParams(
             Fraction(ot_total, ot_total + oc_total),
-            Fraction(ot_events, ot_total),
-            Fraction(oc_events, oc_total),
+            Fraction(ot_events, ot_total) if ot_total else None,
+            Fraction(oc_events, oc_total) if oc_total else None,
         )
     return StratumInput(labels, bounds_mod.EvidenceSet(p0, p1))
 
@@ -218,7 +233,7 @@ def _labels_from_mapping(raw: dict, where: str) -> tuple[tuple[str, str], ...]:
     return tuple((str(k), str(v)) for k, v in raw.items())
 
 
-def _parse_json_input(path: str) -> StudyInput:
+def _parse_json_input(path: str) -> tuple[StratumInput, ...]:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -248,7 +263,7 @@ def _parse_json_input(path: str) -> StudyInput:
             )
         else:
             raise ParseError(f"{where}: needs 'experimental' counts or 'parameters'")
-    return StudyInput(tuple(strata))
+    return tuple(strata)
 
 
 def _csv_cells(row: list[str], first: int, where: str) -> dict:
@@ -289,7 +304,7 @@ def _csv_rows(fh, path: str):
         raise ParseError(f"{path}, line {reader.line_num}: {exc}") from None
 
 
-def _parse_csv_input(path: str) -> StudyInput:
+def _parse_csv_input(path: str) -> tuple[StratumInput, ...]:
     strata = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = _csv_rows(fh, path)
@@ -317,16 +332,19 @@ def _parse_csv_input(path: str) -> StudyInput:
             strata.append(
                 _stratum_from_counts(labels, _csv_cells(row, 1, where), observational, where)
             )
-    return StudyInput(tuple(strata))
+    return tuple(strata)
 
 
 def parse_input(path: str) -> StudyInput:
     """A CSV study when the path ends in .csv, a JSON one otherwise."""
     if not os.path.isfile(path):
         raise ParseError(f"no such file: {path}")
-    if path.lower().endswith(".csv"):
-        return _parse_csv_input(path)
-    return _parse_json_input(path)
+    parse = _parse_csv_input if path.lower().endswith(".csv") else _parse_json_input
+    strata = parse(path)
+    try:
+        return StudyInput(strata)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

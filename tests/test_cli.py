@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from harmbounds import ParseError, ValidationError, identification
+from harmbounds import JointDistribution, ParseError, ValidationError, identification, propositions
+from harmbounds import bounds as bounds_mod
 from harmbounds.cli import (
     EXIT_ALL_INCOMPATIBLE,
+    EXIT_COUNTEREXAMPLE,
     EXIT_OK,
     EXIT_USAGE,
     MAX_RATIONAL_CHARS,
@@ -38,6 +40,25 @@ DEMO_COUNTS = {
             "experimental": {
                 "treated": {"events": 51, "total": 100},
                 "untreated": {"events": 79, "total": 100},
+            },
+            "observational": {
+                "treated": {"events": 21, "total": 70},
+                "untreated": {"events": 9, "total": 30},
+            },
+        }
+    ]
+}
+
+
+# Compatible with an empty natural-choice treated arm: everyone is in A*=0,
+# so P(Y=1|do(A=0)) must equal the observed risk 9/30.
+EMPTY_ARM_COUNTS = {
+    "strata": [
+        {
+            "labels": {"sex": "men"},
+            "experimental": {
+                "treated": {"events": 51, "total": 100},
+                "untreated": {"events": 30, "total": 100},
             },
             "observational": {
                 "treated": {"events": 21, "total": 70},
@@ -131,9 +152,10 @@ class TestParseInput:
             parse_input(write_json(tmp_path, payload))
 
     def test_zero_total_rejected(self, tmp_path):
+        """An experimental arm needs patients; only a natural-choice arm may be empty."""
         payload = json.loads(json.dumps(DEMO_COUNTS))
-        payload["strata"][0]["observational"]["untreated"] = {"events": 0, "total": 0}
-        with pytest.raises(ValidationError, match="observational.untreated"):
+        payload["strata"][0]["experimental"]["untreated"] = {"events": 0, "total": 0}
+        with pytest.raises(ValidationError, match="experimental.untreated: total must be positive"):
             parse_input(write_json(tmp_path, payload))
 
     def test_missing_observational_block(self, tmp_path):
@@ -169,7 +191,7 @@ class TestParseInput:
 
     def test_duplicate_labels(self, tmp_path):
         payload = {"strata": [DEMO_COUNTS["strata"][0], DEMO_COUNTS["strata"][0]]}
-        with pytest.raises(ValidationError, match="duplicate"):
+        with pytest.raises(ValidationError, match="duplicate stratum label 'sex=men'"):
             parse_input(write_json(tmp_path, payload))
 
     def test_csv_round(self, tmp_path):
@@ -351,6 +373,38 @@ class TestMain:
         for name in ("P1", "P2", "P3", "P4"):
             assert f"proposition {name}" in out
 
+    def test_verify_prints_reproducible_counterexamples(self, capsys, monkeypatch):
+        """A broken bound makes `verify` exit 3 and print, after the
+        proposition lines, a JSON list whose atoms rebuild each offending joint."""
+        harm_bounds = bounds_mod.harm_bounds
+
+        def broken_harm_bounds(evidence):
+            if evidence.p1 is not None:
+                return bounds_mod.Interval(0, 1)  # ignores the natural-choice data
+            return harm_bounds(evidence)
+
+        monkeypatch.setattr(bounds_mod, "harm_bounds", broken_harm_bounds)
+        expected = {r.proposition: r for r in propositions.run_harness(10, 7) if r.counterexamples}
+        assert expected
+        assert main(["verify", "--samples", "10", "--seed", "7"]) == EXIT_COUNTEREXAMPLE
+        out = capsys.readouterr().out
+        head, _, tail = out.partition("[")
+        assert [line.split(":")[0] for line in head.splitlines()] == [
+            f"proposition {name}" for name in ("P1", "P2", "P3", "P4")
+        ]
+        dumped = json.loads("[" + tail)
+        assert [entry["proposition"] for entry in dumped] == list(expected)
+        for entry in dumped:
+            rebuilt = [
+                JointDistribution.from_mapping(
+                    {tuple(map(int, key.split("/"))): parse_rational(p) for key, p in ce["atoms"].items()}
+                )
+                for ce in entry["counterexamples"]
+            ]
+            report = expected[entry["proposition"]]
+            assert rebuilt == [joint for joint, _ in report.counterexamples]
+            assert entry["instances_checked"] == report.instances_checked
+
 
 def _with(path, value):
     """DEMO_COUNTS with the entry at `path` (a key sequence) set to `value`."""
@@ -503,6 +557,125 @@ class TestInputBoundary:
         unlabeled, labeled = parse_input(str(path)).strata
         assert unlabeled.name == "(unlabeled)"
         assert labeled.labels == (("sex", "men"), ("site", "A"))
+
+    @pytest.mark.parametrize("empty", ["treated", "untreated"])
+    def test_empty_natural_choice_arm(self, empty, tmp_path, capsys):
+        """An observational arm of {"events": 0, "total": 0} means nobody
+        would naturally take it: P(A*=arm) = 0 and its risk is undefined."""
+        payload = json.loads(json.dumps(EMPTY_ARM_COUNTS))
+        payload["strata"][0]["observational"][empty] = {"events": 0, "total": 0}
+        if empty == "untreated":  # keep the evidence compatible: A*=1 is everyone
+            payload["strata"][0]["experimental"]["treated"] = {"events": 30, "total": 100}
+        path = write_json(tmp_path, payload)
+        p1 = parse_input(path).strata[0].evidence.p1
+        if empty == "treated":
+            assert (p1.pi1, p1.q1, p1.q0) == (0, None, F(3, 10))
+        else:
+            assert (p1.pi1, p1.q1, p1.q0) == (1, F(3, 10), None)
+        (sr,) = analyze(parse_input(path))
+        astar = 1 if empty == "treated" else 0
+        assert sr.fused.bounds[f"harm_given{astar}"] is None
+        assert sr.fused.bounds[f"harm_given{1 - astar}"] is not None
+        assert main(["analyze", "--input", path]) == EXIT_OK
+        assert "= undefined" in capsys.readouterr().out
+
+    def test_empty_natural_choice_arm_in_csv(self, tmp_path, capsys):
+        path = tmp_path / "study.csv"
+        path.write_text(CSV_HEADER + "sex=men,51,100,30,100,0,0,9,30\n")
+        p1 = parse_input(str(path)).strata[0].evidence.p1
+        assert (p1.pi1, p1.q1, p1.q0) == (0, None, F(3, 10))
+        assert main(["analyze", "--input", str(path), "--format", "json"]) == EXIT_OK
+        stratum = json.loads(capsys.readouterr().out)["strata"][0]
+        assert stratum["p1"]["q1"] is None and stratum["bounds"]["fused"]["harm_given1"] is None
+
+    @pytest.mark.parametrize(
+        "observational,where,message",
+        [
+            (
+                {"treated": {"events": 0, "total": 0}, "untreated": {"events": 0, "total": 0}},
+                "observational",
+                "both arms have total 0",
+            ),
+            (
+                {"treated": {"events": 3, "total": 0}, "untreated": {"events": 9, "total": 30}},
+                "observational.treated",
+                "events 3 outside [0, 0]",
+            ),
+            (
+                {"treated": {"events": 0, "total": -1}, "untreated": {"events": 9, "total": 30}},
+                "observational.treated",
+                "total must not be negative, got -1",
+            ),
+        ],
+        ids=["both-arms-empty", "events-without-patients", "negative-total"],
+    )
+    def test_empty_arm_errors(self, observational, where, message, tmp_path, capsys):
+        payload = json.loads(json.dumps(EMPTY_ARM_COUNTS))
+        payload["strata"][0]["observational"] = observational
+        path = write_json(tmp_path, payload)
+        assert main(["analyze", "--input", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err == f"error: {path}, stratum 0, {where}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("sex=men,51,100,30,100,0,0,0,0", "line 2, observational: both arms have total 0"),
+            ("sex=men,51,100,30,100,2,0,9,30", "line 2, observational.treated: events 2 outside [0, 0]"),
+            ("sex=men,51,100,0,0,,,,", "line 2, experimental.untreated: total must be positive, got 0"),
+        ],
+        ids=["both-arms-empty", "events-without-patients", "empty-experimental-arm"],
+    )
+    def test_empty_arm_errors_in_csv(self, row, message, tmp_path, capsys):
+        path = tmp_path / "study.csv"
+        path.write_text(CSV_HEADER + row + "\n")
+        assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {path}, {message}\n"
+
+    @pytest.mark.parametrize(
+        "name,text,message",
+        [
+            ("study.json", '{"strata": []}', "study contains no strata"),
+            ("study.csv", CSV_HEADER, "study contains no strata"),
+            (
+                "study.json",
+                json.dumps({"strata": [DEMO_COUNTS["strata"][0], DEMO_COUNTS["strata"][0]]}),
+                "duplicate stratum label 'sex=men'",
+            ),
+            (
+                "study.csv",
+                CSV_HEADER + "sex=men,51,100,79,100,,,,\n,1,2,1,2,,,,\n,1,3,1,3,,,,\n",
+                "duplicate stratum label '(unlabeled)'",
+            ),
+        ],
+        ids=["no-strata-json", "header-only-csv", "duplicate-json", "duplicate-csv"],
+    )
+    def test_study_errors_name_the_file(self, name, text, message, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "parameters,message",
+        [
+            ({"p_do1": "1.5", "p_do0": "1/2"}, ", parameter 'p_do1': probability outside [0, 1]: 3/2"),
+            ({"p_do1": "1/2"}, ": missing parameter 'p_do0'"),
+            (
+                {"p_do1": "1/2", "p_do0": "1/2", "pi1": "0", "q1": "1/2", "q0": "1/2"},
+                ": q1 must be undefined when P(A*=1) = 0",
+            ),
+        ],
+        ids=["out-of-range", "missing", "pi1-zero-with-q1"],
+    )
+    def test_bad_parameter_branches(self, parameters, message, tmp_path, capsys):
+        path = write_json(tmp_path, {"strata": [{"labels": {"sex": "men"}, "parameters": parameters}]})
+        assert main(["analyze", "--input", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {path}, stratum 0{message}\n"
 
     def test_csv_counts_may_be_padded(self, tmp_path):
         path = tmp_path / "study.csv"
