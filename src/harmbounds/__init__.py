@@ -23,13 +23,11 @@ from .errors import (
 )
 from .identification import (
     EvidenceSet,
-    FusionReport,
     compatibility_check,
     identify_cate,
     identify_stratum_risks,
 )
 from .model import (
-    Estimands,
     ExperimentalParams,
     JointDistribution,
     ObservationalParams,
@@ -40,8 +38,6 @@ from .model import (
     true_estimands,
 )
 from .propositions import (
-    PropositionReport,
-    Verdict,
     check_prop1,
     check_prop2,
     check_prop3,
@@ -50,43 +46,3 @@ from .propositions import (
     interventionist_verdict,
     run_harness,
 )
-
-__all__ = [
-    "EvidenceSet",
-    "Interval",
-    "ate_bounds",
-    "benefit_bounds",
-    "cate_bounds",
-    "conditional_benefit_bounds",
-    "conditional_harm_bounds",
-    "harm_bounds",
-    "is_point_identified",
-    "HarmboundsError",
-    "IncompatibleEvidence",
-    "MissingObservational",
-    "NullStratum",
-    "ParseError",
-    "ValidationError",
-    "FusionReport",
-    "compatibility_check",
-    "identify_cate",
-    "identify_stratum_risks",
-    "Estimands",
-    "ExperimentalParams",
-    "JointDistribution",
-    "ObservationalParams",
-    "degenerate_family",
-    "demo_joint",
-    "observables_from_joint",
-    "sample_joint",
-    "true_estimands",
-    "PropositionReport",
-    "Verdict",
-    "check_prop1",
-    "check_prop2",
-    "check_prop3",
-    "check_prop4",
-    "counterfactual_verdict",
-    "interventionist_verdict",
-    "run_harness",
-]
