@@ -24,7 +24,6 @@ from .errors import (
 from .identification import (
     EvidenceSet,
     compatibility_check,
-    identify_cate,
     identify_stratum_risks,
 )
 from .model import (

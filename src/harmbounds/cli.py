@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import re
@@ -233,16 +234,23 @@ def _labels_from_mapping(raw: dict, where: str) -> tuple[tuple[str, str], ...]:
     return tuple((str(k), str(v)) for k, v in raw.items())
 
 
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file; other bytes end in a ParseError that names their offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}, byte offset {exc.start}: not valid utf-8 ({exc.reason})") from None
+
+
 def _parse_json_input(path: str) -> tuple[StratumInput, ...]:
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except RecursionError:
         raise ParseError(f"{path}: JSON nested too deeply") from None
-    except UnicodeDecodeError:  # also a ValueError; main reports it as it is
-        raise
     except ValueError:  # int() refuses numbers over sys.get_int_max_str_digits() digits
         raise ParseError(
             f"{path}: a number is too long; counts may have at most {MAX_RATIONAL_CHARS} digits"
@@ -306,32 +314,29 @@ def _csv_rows(fh, path: str):
 
 def _parse_csv_input(path: str) -> tuple[StratumInput, ...]:
     strata = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = _csv_rows(fh, path)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if header != _CSV_HEADER:
-            raise ParseError(
-                f"{path}: bad header; expected {','.join(_CSV_HEADER)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not field.strip() for field in row):
-                continue
-            where = f"{path}, line {lineno}"
-            if len(row) != len(_CSV_HEADER):
-                raise ParseError(f"{where}: expected {len(_CSV_HEADER)} fields")
-            labels = _csv_labels(row[0], where)
-            obs_fields = [field.strip() for field in row[5:9]]
-            observational = None
-            if any(obs_fields):
-                if not all(obs_fields):
-                    raise ParseError(f"{where}: partial observational counts")
-                observational = _csv_cells(row, 5, where)
-            strata.append(
-                _stratum_from_counts(labels, _csv_cells(row, 1, where), observational, where)
-            )
+    reader = _csv_rows(io.StringIO(_read_text(path), newline=""), path)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file") from None
+    if header != _CSV_HEADER:
+        raise ParseError(f"{path}: bad header; expected {','.join(_CSV_HEADER)}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not field.strip() for field in row):
+            continue
+        where = f"{path}, line {lineno}"
+        if len(row) != len(_CSV_HEADER):
+            raise ParseError(f"{where}: expected {len(_CSV_HEADER)} fields")
+        labels = _csv_labels(row[0], where)
+        obs_fields = [field.strip() for field in row[5:9]]
+        observational = None
+        if any(obs_fields):
+            if not all(obs_fields):
+                raise ParseError(f"{where}: partial observational counts")
+            observational = _csv_cells(row, 5, where)
+        strata.append(
+            _stratum_from_counts(labels, _csv_cells(row, 1, where), observational, where)
+        )
     return tuple(strata)
 
 
@@ -350,20 +355,15 @@ def parse_input(path: str) -> StudyInput:
 # ---------------------------------------------------------------------------
 # analysis
 
-class Level(NamedTuple):
-    """The bounds and both schools' verdicts at one evidence level."""
-
-    bounds: dict[str, Optional[bounds_mod.Interval]]
-    verdicts: tuple[propositions.Verdict, ...]  # interventionist, counterfactual
-
-
 class StratumReport(NamedTuple):
+    """One stratum's `propositions.Level`s, the records that `verify` checks on sampled joints."""
+
     stratum: StratumInput
-    p0_only: Level
-    fused: Optional[Level]  # None without natural-choice data or when incompatible
+    p0_only: propositions.Level
+    fused: Optional[propositions.Level]  # None without natural-choice data or when incompatible
 
     @property
-    def levels(self) -> tuple[tuple[str, Optional[Level]], ...]:
+    def levels(self) -> tuple[tuple[str, Optional[propositions.Level]], ...]:
         return ("p0_only", self.p0_only), ("fused", self.fused)
 
     @property
@@ -372,39 +372,12 @@ class StratumReport(NamedTuple):
         return fusion is not None and not fusion.compatible
 
 
-def _level(evidence: bounds_mod.EvidenceSet) -> Level:
-    """Without natural-choice data the conditional ATEs are vacuous and no
-    other conditional bound is reported; with it, each conditional bound of
-    an empty A* stratum is None."""
-    bounds = {
-        "harm": bounds_mod.harm_bounds(evidence),
-        "benefit": bounds_mod.benefit_bounds(evidence),
-        "ate": bounds_mod.ate_bounds(evidence),
-    }
-    # Literal keys, so that every stratum's dict shares the same strings.
-    conditional = [(("cate0", "cate1"), bounds_mod.cate_bounds)]
-    empty = set()
-    if evidence.p1 is not None:
-        conditional += [
-            (("harm_given0", "harm_given1"), bounds_mod.conditional_harm_bounds),
-            (("benefit_given0", "benefit_given1"), bounds_mod.conditional_benefit_bounds),
-        ]
-        empty = {0, 1} - {s.astar for s in evidence.strata}
-    for keys, fn in conditional:
-        for astar, key in enumerate(keys):
-            bounds[key] = None if astar in empty else fn(evidence, astar)
-    verdicts = (
-        propositions.interventionist_verdict(evidence),
-        propositions.counterfactual_verdict(evidence),
-    )
-    return Level(bounds, verdicts)
-
-
 def _analyze_stratum(stratum: StratumInput) -> StratumReport:
     evidence = stratum.evidence
-    fusion = evidence.fusion
-    fused = _level(evidence) if fusion is not None and fusion.compatible else None
-    return StratumReport(stratum, _level(bounds_mod.EvidenceSet(evidence.p0)), fused)
+    if evidence.p1 is None:  # already experimental-only; the report keeps no second copy
+        return StratumReport(stratum, propositions.level(evidence), None)
+    fused = propositions.level(evidence) if evidence.fusion.compatible else None
+    return StratumReport(stratum, propositions.level(bounds_mod.EvidenceSet(evidence.p0)), fused)
 
 
 def analyze(study: StudyInput) -> tuple[StratumReport, ...]:

@@ -143,9 +143,3 @@ def identify_stratum_risks(
     stratum = EvidenceSet(p0, p1).stratum(astar)
     return stratum.risk1, stratum.risk0
 
-
-def identify_cate(
-    p0: ExperimentalParams, p1: ObservationalParams, astar: int
-) -> Fraction:
-    """Point-identified conditional ATE given the natural treatment value."""
-    return EvidenceSet(p0, p1).stratum(astar).cate

@@ -1,9 +1,12 @@
 """Harm verdicts for both analytic schools and mechanical theorem checks.
 
-The checkers falsify: each takes a ground-truth joint, derives the
-observable evidence, and tests one of the concordance/degeneracy
-biconditionals.  On correct bounds code every checker returns None for
-every valid joint; a non-None result is a counterexample and therefore an
+`level` identifies one evidence level once and derives every reported
+bound and both verdicts from it; the CLI report renders these `Level`s and
+the harness checks the same ones.  The checkers falsify: each takes the
+experimental-only and the fused `Level` of a ground-truth joint and tests
+one of the concordance/degeneracy biconditionals, calling no bound
+function.  On correct bounds code every checker returns None for every
+valid joint; a non-None result is a counterexample and therefore an
 implementation bug.
 """
 
@@ -11,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import bounds as bounds_mod
 from .model import (
@@ -56,30 +59,63 @@ def interventionist_verdict(evidence: bounds_mod.EvidenceSet) -> Verdict:
     return Verdict("interventionist", False)
 
 
-def counterfactual_verdict(evidence: bounds_mod.EvidenceSet) -> Verdict:
-    """Detected iff the sharp lower bound on P(harm) is strictly positive."""
-    lower = bounds_mod.harm_bounds(evidence).lower
-    if lower > 0:
+def counterfactual_verdict(evidence: bounds_mod.EvidenceSet, harm: bounds_mod.Interval) -> Verdict:
+    """Detected iff `harm`, the sharp P(harm) bounds of `evidence`, has a positive lower bound."""
+    if harm.lower > 0:
         label = "sharp lower bound on P(harm)"
         if evidence.p1 is not None:
             label += " (fused)"
-        return Verdict("counterfactual", True, label, lower)
+        return Verdict("counterfactual", True, label, harm.lower)
     return Verdict("counterfactual", False)
 
 
-def _evidence_levels(
-    joint: JointDistribution,
-) -> tuple[bounds_mod.EvidenceSet, bounds_mod.EvidenceSet]:
+class Level(NamedTuple):
+    """One evidence level: its evidence, every bound reported at it and both verdicts."""
+
+    evidence: bounds_mod.EvidenceSet
+    bounds: dict[str, Optional[bounds_mod.Interval]]
+    verdicts: tuple[Verdict, Verdict]  # interventionist, counterfactual
+
+
+def level(evidence: bounds_mod.EvidenceSet) -> Level:
+    """Every bound and both verdicts of one identified evidence level.
+
+    Without natural-choice data the conditional ATEs are vacuous and no
+    other conditional bound is reported; with it, each conditional bound of
+    an empty A* stratum is None.
+    """
+    harm = bounds_mod.harm_bounds(evidence)
+    bounds = {
+        "harm": harm,
+        "benefit": bounds_mod.benefit_bounds(evidence),
+        "ate": bounds_mod.ate_bounds(evidence),
+    }
+    # Literal keys, so that every level's dict shares the same strings.
+    conditional = [(("cate0", "cate1"), bounds_mod.cate_bounds)]
+    empty = set()
+    if evidence.p1 is not None:
+        conditional += [
+            (("harm_given0", "harm_given1"), bounds_mod.conditional_harm_bounds),
+            (("benefit_given0", "benefit_given1"), bounds_mod.conditional_benefit_bounds),
+        ]
+        empty = {0, 1} - {s.astar for s in evidence.strata}
+    for keys, fn in conditional:
+        for astar, key in enumerate(keys):
+            bounds[key] = None if astar in empty else fn(evidence, astar)
+    verdicts = (interventionist_verdict(evidence), counterfactual_verdict(evidence, harm))
+    return Level(evidence, bounds, verdicts)
+
+
+def joint_levels(joint: JointDistribution) -> tuple[Level, Level]:
+    """The experimental-only and the fused level of a joint's evidence."""
     p0, p1 = observables_from_joint(joint)
-    return bounds_mod.EvidenceSet(p0), bounds_mod.EvidenceSet(p0, p1)
+    return level(bounds_mod.EvidenceSet(p0)), level(bounds_mod.EvidenceSet(p0, p1))
 
 
-def check_prop1(joint: JointDistribution) -> Optional[str]:
+def check_prop1(p0_only: Level, fused: Level) -> Optional[str]:
     """Counterfactual and interventionist detection agree at both evidence levels."""
-    ev0, ev1 = _evidence_levels(joint)
-    for label, evidence in (("experimental-only", ev0), ("fused", ev1)):
-        counterfactual = counterfactual_verdict(evidence).detected
-        interventionist = interventionist_verdict(evidence).detected
+    for label, lvl in (("experimental-only", p0_only), ("fused", fused)):
+        interventionist, counterfactual = (v.detected for v in lvl.verdicts)
         if counterfactual != interventionist:
             return (
                 f"{label}: counterfactual detected={counterfactual} but "
@@ -88,15 +124,14 @@ def check_prop1(joint: JointDistribution) -> Optional[str]:
     return None
 
 
-def check_prop2(joint: JointDistribution) -> Optional[str]:
+def check_prop2(p0_only: Level, fused: Level) -> Optional[str]:
     """Point identification of P(harm) happens exactly at deterministic risks."""
-    ev0, ev1 = _evidence_levels(joint)
-    for label, evidence, kind in (
-        ("experimental-only", ev0, "marginal"),
-        ("fused", ev1, "stratum"),
+    for label, lvl, kind in (
+        ("experimental-only", p0_only, "marginal"),
+        ("fused", fused, "stratum"),
     ):
-        point = bounds_mod.is_point_identified(bounds_mod.harm_bounds(evidence))
-        degenerate = all(s.risk1 in (0, 1) or s.risk0 in (0, 1) for s in evidence.strata)
+        point = bounds_mod.is_point_identified(lvl.bounds["harm"])
+        degenerate = all(s.risk1 in (0, 1) or s.risk0 in (0, 1) for s in lvl.evidence.strata)
         if point != degenerate:
             return (
                 f"{label}: point identification {point} but "
@@ -105,24 +140,20 @@ def check_prop2(joint: JointDistribution) -> Optional[str]:
     return None
 
 
-def check_prop3(joint: JointDistribution) -> Optional[str]:
+def check_prop3(p0_only: Level, fused: Level) -> Optional[str]:
     """Point-identified positive P(harm) splits the strata: per stratum, either
     conditional benefit or conditional harm is identified to be exactly 0."""
-    ev0, ev1 = _evidence_levels(joint)
-    fused = bounds_mod.harm_bounds(ev1)
-    experimental = bounds_mod.harm_bounds(ev0)
-    premise = (
-        bounds_mod.is_point_identified(fused) and fused.lower > 0
-    ) or (
-        bounds_mod.is_point_identified(experimental) and experimental.lower > 0
+    premise = any(
+        bounds_mod.is_point_identified(harm) and harm.lower > 0
+        for harm in (fused.bounds["harm"], p0_only.bounds["harm"])
     )
     if not premise:
         return None
-    for stratum in ev1.strata:
+    zero = bounds_mod.Interval(0, 0)
+    for stratum in fused.evidence.strata:
         astar = stratum.astar
-        benefit = bounds_mod.conditional_benefit_bounds(ev1, astar)
-        harm = bounds_mod.conditional_harm_bounds(ev1, astar)
-        zero = bounds_mod.Interval(0, 0)
+        benefit = fused.bounds[f"benefit_given{astar}"]
+        harm = fused.bounds[f"harm_given{astar}"]
         if benefit != zero and harm != zero:
             return (
                 f"A*={astar}: conditional benefit {benefit.lower}..{benefit.upper} "
@@ -131,14 +162,13 @@ def check_prop3(joint: JointDistribution) -> Optional[str]:
     return None
 
 
-def check_prop4(joint: JointDistribution) -> Optional[str]:
+def check_prop4(p0_only: Level, fused: Level) -> Optional[str]:
     """The fused harm lower bound strictly improves iff the stratum ATEs have
     strictly opposite signs.  Vacuous when a stratum is empty."""
-    ev0, ev1 = _evidence_levels(joint)
-    if len(ev1.strata) < 2:
+    if len(fused.evidence.strata) < 2:
         return None
-    improved = bounds_mod.harm_bounds(ev1).lower > bounds_mod.harm_bounds(ev0).lower
-    cate0, cate1 = (s.cate for s in ev1.strata)
+    improved = fused.bounds["harm"].lower > p0_only.bounds["harm"].lower
+    cate0, cate1 = (s.cate for s in fused.evidence.strata)
     opposite = (cate0 > 0 > cate1) or (cate1 > 0 > cate0)
     if improved != opposite:
         return (
@@ -148,7 +178,7 @@ def check_prop4(joint: JointDistribution) -> Optional[str]:
     return None
 
 
-_CHECKERS: dict[str, Callable[[JointDistribution], Optional[str]]] = {
+_CHECKERS: dict[str, Callable[[Level, Level], Optional[str]]] = {
     "P1": check_prop1,
     "P2": check_prop2,
     "P3": check_prop3,
@@ -171,8 +201,9 @@ def run_harness(n: int, seed: int) -> list[PropositionReport]:
         name: [] for name in PROPOSITIONS
     }
     for joint in instances:
+        levels = joint_levels(joint)
         for name in PROPOSITIONS:
-            details = _CHECKERS[name](joint)
+            details = _CHECKERS[name](*levels)
             if details is not None:
                 counterexamples[name].append((joint, details))
     return [

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, exact tolerances, hard runtime caps.
 
 Criteria 3, 5 and 7 quantify over the same corpus of 10^4 sampled joints,
-built once per session.
+built once per session; so does the Tian & Pearl formula check at the end,
+which adds a second reference to criterion 3's LP oracle.
 """
 
 import json
@@ -21,13 +22,13 @@ from harmbounds import (
     conditional_benefit_bounds,
     conditional_harm_bounds,
     harm_bounds,
-    identify_cate,
     observables_from_joint,
     sample_joint,
     true_estimands,
 )
 from harmbounds.cli import main
 from harmbounds.lp_oracle import build_program, sharp_interval, solve
+from harmbounds.model import degenerate_grid
 
 F = Fraction
 
@@ -157,10 +158,10 @@ class TestAcceptance:
                 assert est.ate in cate_bounds(ev0, 0)  # vacuous [-1, 1]
                 p1 = ev1.p1
                 if p1.pi1 > 0:
-                    assert identify_cate(ev1.p0, p1, 1) == est.cate1
+                    assert ev1.stratum(1).cate == est.cate1
                     assert est.cate1 in cate_bounds(ev1, 1)
                 if p1.pi1 < 1:
-                    assert identify_cate(ev1.p0, p1, 0) == est.cate0
+                    assert ev1.stratum(0).cate == est.cate0
                     assert est.cate0 in cate_bounds(ev1, 0)
         except AssertionError:
             _report(5, "validity and round-trip identification", "FAIL")
@@ -205,3 +206,43 @@ class TestAcceptance:
             _report(7, "fused intervals never widen", "FAIL")
             raise
         _report(7, "fused intervals never widen", "PASS")
+
+
+def _tian_pearl(p0, p1, x):
+    """Tian & Pearl (2000): sharp bounds on P(y_x, y'_x') from P(y_x), P(y_x')
+    and the observational joint of treatment X and outcome Y, with y the
+    event Y=1.  Harm is the case x = treated, benefit the case x = untreated.
+
+    Built from the evidence parameters alone, sharing no code with `bounds`.
+    """
+    do = {1: p0.p_do1, 0: p0.p_do0}
+    share = {1: p1.pi1, 0: 1 - p1.pi1}
+    risk = {1: p1.q1, 0: p1.q0}
+    # P(X=a, Y=1) and P(X=a, Y=0); an empty natural-choice arm has neither.
+    died = {a: F(0) if risk[a] is None else share[a] * risk[a] for a in (0, 1)}
+    lived = {a: share[a] - died[a] for a in (0, 1)}
+    other = 1 - x
+    p_y = died[0] + died[1]
+    lower = max(F(0), do[x] - do[other], p_y - do[other], do[x] - p_y)
+    upper = min(
+        do[x],
+        1 - do[other],
+        died[x] + lived[other],
+        do[x] - do[other] + lived[x] + died[other],
+    )
+    return lower, upper
+
+
+def test_fused_bounds_equal_tian_pearl_closed_forms(corpus):
+    """Fused harm and benefit equal the Tian & Pearl closed forms on the
+    criterion-3 corpus and the degenerate grid, next to the LP check."""
+    cases = [
+        (ev1, intervals[("fused", "harm")], intervals[("fused", "benefit")])
+        for _joint, _ev0, ev1, intervals in corpus
+    ]
+    for joint in degenerate_grid():
+        evidence = EvidenceSet(*observables_from_joint(joint))
+        cases.append((evidence, harm_bounds(evidence), benefit_bounds(evidence)))
+    for evidence, harm, benefit in cases:
+        assert (harm.lower, harm.upper) == _tian_pearl(evidence.p0, evidence.p1, 1), evidence
+        assert (benefit.lower, benefit.upper) == _tian_pearl(evidence.p0, evidence.p1, 0), evidence

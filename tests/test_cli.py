@@ -528,6 +528,24 @@ class TestInputBoundary:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "utf-8" in err and "too long" not in err
 
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("study.json", b'{"strata": [{"labels": {"sex": "m\xffen"}}]}'),
+            ("study.csv", CSV_HEADER.encode() + b"sex=m\xffen,51,100,79,100,,,,\n"),
+        ],
+        ids=["json", "csv"],
+    )
+    def test_not_utf8_names_file_and_byte_offset(self, name, text, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_bytes(text)
+        assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}, byte offset {text.index(0xFF)}: not valid utf-8 (invalid start byte)\n"
+        )
+
     def test_csv_counts_are_capped(self, tmp_path, capsys):
         path = tmp_path / "study.csv"
         path.write_text(CSV_HEADER + f"sex=men,51,100,79,{'1' * 5_000},,,,\n")
@@ -710,6 +728,35 @@ def test_each_fused_stratum_is_identified_once(argv, load, monkeypatch, capsys):
     assert main(argv) == EXIT_OK
     capsys.readouterr()
     assert fused > 0 and len(calls) == fused
+
+
+@pytest.mark.parametrize(
+    "argv,load",
+    [
+        (["example", "--format", "json"], _demo_study),
+        (["analyze", "--input", str(CORPUS), "--format", "text"], lambda: parse_input(str(CORPUS))),
+    ],
+    ids=["demo", "corpus"],
+)
+def test_harm_is_bounded_once_per_evidence_level(argv, load, monkeypatch, capsys):
+    """Every stratum has an experimental-only level, and a fused one when its
+    evidence is compatible; the counterfactual verdict reads that level's
+    harm interval instead of recomputing it."""
+    strata = load().strata
+    levels = len(strata) + sum(
+        s.evidence.fusion is not None and s.evidence.fusion.compatible for s in strata
+    )
+    calls = []
+    harm = bounds_mod.harm_bounds
+
+    def counted(evidence):
+        calls.append(evidence)
+        return harm(evidence)
+
+    monkeypatch.setattr(bounds_mod, "harm_bounds", counted)
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert levels > len(strata) and len(calls) == levels
 
 
 class _CountingStream(io.StringIO):

@@ -1,10 +1,11 @@
 """Byte-for-byte gate on the CLI's reports.
 
-The files under tests/data/golden/ were written by the CLI before the
-bounds were rebuilt in closed form; a refactor that changes any reported
-number, flag or rendering fails here.  Never regenerate them to make a
-change pass: a difference is a change in behavior and needs its own
-justification.
+The reports under tests/data/golden/ were written by the CLI before the
+bounds were rebuilt in closed form, and verify.txt before the harness and
+the report shared one record per evidence level; a refactor that changes
+any reported number, flag, rendering or harness count fails here.  Never
+regenerate them to make a change pass: a difference is a change in
+behavior and needs its own justification.
 """
 
 import json
@@ -75,8 +76,9 @@ def test_corpus_study_file_is_generated():
             ["analyze", "--input", str(GOLDEN / "corpus_study.json"), "--format", "text"],
             "corpus_report.txt",
         ),
+        (["verify", "--samples", "200", "--seed", "42"], "verify.txt"),
     ],
-    ids=["example-text", "example-json", "corpus-json", "corpus-text"],
+    ids=["example-text", "example-json", "corpus-json", "corpus-text", "verify"],
 )
 def test_output_matches_golden(argv, golden, capsys, monkeypatch):
     monkeypatch.setenv("HARMBOUNDS_COLOR", "never")

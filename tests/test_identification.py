@@ -10,7 +10,6 @@ from harmbounds import (
     NullStratum,
     ObservationalParams,
     compatibility_check,
-    identify_cate,
     identify_stratum_risks,
     observables_from_joint,
     true_estimands,
@@ -80,27 +79,27 @@ class TestIdentify:
 
 class TestIdentifyCate:
     def test_demo_untreated_stratum(self, demo_params):
-        assert identify_cate(*demo_params, astar=0) == F(7, 10)
+        assert EvidenceSet(*demo_params).stratum(0).cate == F(7, 10)
 
     def test_demo_treated_stratum(self, demo_params):
-        assert identify_cate(*demo_params, astar=1) == F(-7, 10)
+        assert EvidenceSet(*demo_params).stratum(1).cate == F(-7, 10)
 
     def test_whole_population_in_one_stratum(self):
         p0 = ExperimentalParams(F(3, 5), F(1, 5))
         p1 = ObservationalParams(F(1), F(3, 5), None)
-        assert identify_cate(p0, p1, astar=1) == p0.p_do1 - p0.p_do0
+        assert EvidenceSet(p0, p1).stratum(1).cate == p0.p_do1 - p0.p_do0
 
     def test_null_stratum_raises(self):
         p0 = ExperimentalParams(F(3, 5), F(1, 5))
         p1 = ObservationalParams(F(1), F(3, 5), None)
         with pytest.raises(NullStratum):
-            identify_cate(p0, p1, astar=0)
+            EvidenceSet(p0, p1).stratum(0).cate
 
     def test_incompatible_raises(self):
         p0 = ExperimentalParams(F(1, 10), F(1, 2))
         p1 = ObservationalParams(F(9, 10), F(9, 10), F(1, 2))
         with pytest.raises(IncompatibleEvidence):
-            identify_cate(p0, p1, astar=0)
+            EvidenceSet(p0, p1).stratum(0).cate
 
 
 class TestIdentifyStratumRisks:
@@ -124,19 +123,19 @@ class TestRoundTripIdentification:
     def test_identified_cates_match_truth(self, joint):
         p0, p1 = observables_from_joint(joint)
         est = true_estimands(joint)
+        evidence = EvidenceSet(p0, p1)
         if p1.pi1 > 0:
-            assert identify_cate(p0, p1, 1) == est.cate1
+            assert evidence.stratum(1).cate == est.cate1
         if p1.pi1 < 1:
-            assert identify_cate(p0, p1, 0) == est.cate0
+            assert evidence.stratum(0).cate == est.cate0
 
     @given(joints())
     @settings(max_examples=200)
     def test_convex_recomposition(self, joint):
         p0, p1 = observables_from_joint(joint)
         if 0 < p1.pi1 < 1:
-            recomposed = p1.pi1 * identify_cate(p0, p1, 1) + (1 - p1.pi1) * identify_cate(
-                p0, p1, 0
-            )
+            evidence = EvidenceSet(p0, p1)
+            recomposed = p1.pi1 * evidence.stratum(1).cate + (1 - p1.pi1) * evidence.stratum(0).cate
             assert recomposed == p0.p_do1 - p0.p_do0
 
 

@@ -22,6 +22,8 @@ from harmbounds import (
 )
 from harmbounds import bounds as bounds_mod
 from harmbounds import propositions
+from harmbounds.model import degenerate_grid
+from harmbounds.propositions import joint_levels
 
 from conftest import joints
 
@@ -50,31 +52,32 @@ class TestInterventionistVerdict:
 
 class TestCounterfactualVerdict:
     def test_demo_not_detected_marginally(self, demo_p0_only):
-        assert not counterfactual_verdict(demo_p0_only).detected
+        assert not counterfactual_verdict(demo_p0_only, harm_bounds(demo_p0_only)).detected
 
     def test_demo_detected_fused(self, demo_evidence):
-        verdict = counterfactual_verdict(demo_evidence)
+        verdict = counterfactual_verdict(demo_evidence, harm_bounds(demo_evidence))
         assert verdict.detected
         assert verdict.value == F(21, 100)
 
     def test_positive_lower_bound_from_experiment_alone(self):
-        verdict = counterfactual_verdict(EvidenceSet(ExperimentalParams(F(3, 5), F(2, 5))))
+        evidence = EvidenceSet(ExperimentalParams(F(3, 5), F(2, 5)))
+        verdict = counterfactual_verdict(evidence, harm_bounds(evidence))
         assert verdict.detected
         assert verdict.value == F(1, 5)
 
 
 class TestCheckers:
     def test_demo_passes_all(self, demo):
-        assert check_prop1(demo) is None
-        assert check_prop2(demo) is None
-        assert check_prop3(demo) is None
-        assert check_prop4(demo) is None
+        assert check_prop1(*joint_levels(demo)) is None
+        assert check_prop2(*joint_levels(demo)) is None
+        assert check_prop3(*joint_levels(demo)) is None
+        assert check_prop4(*joint_levels(demo)) is None
 
     def test_uniform_passes_all(self):
-        assert check_prop1(UNIFORM) is None
-        assert check_prop2(UNIFORM) is None
-        assert check_prop3(UNIFORM) is None
-        assert check_prop4(UNIFORM) is None
+        assert check_prop1(*joint_levels(UNIFORM)) is None
+        assert check_prop2(*joint_levels(UNIFORM)) is None
+        assert check_prop3(*joint_levels(UNIFORM)) is None
+        assert check_prop4(*joint_levels(UNIFORM)) is None
 
     def test_uniform_bounds_shape(self):
         # premise of the split proposition fails: no point identification
@@ -88,14 +91,14 @@ class TestCheckers:
         p0, _ = observables_from_joint(joint)
         assert p0.p_do1 == 1
         assert is_point_identified(harm_bounds(EvidenceSet(p0)))
-        assert check_prop2(joint) is None
-        assert check_prop3(joint) is None
+        assert check_prop2(*joint_levels(joint)) is None
+        assert check_prop3(*joint_levels(joint)) is None
 
     @pytest.mark.parametrize("checker", [check_prop1, check_prop2, check_prop3, check_prop4])
     @given(joint=joints())
     @settings(max_examples=100, deadline=None)
     def test_no_random_counterexamples(self, checker, joint):
-        assert checker(joint) is None
+        assert checker(*joint_levels(joint)) is None
 
 
 class TestRunHarness:
@@ -129,8 +132,49 @@ class TestRunHarness:
         monkeypatch.undo()
         # with the bug removed the stored instance satisfies the propositions,
         # and re-running the checker against the bug reproduces the violation
-        assert check_prop1(joint) is None and check_prop2(joint) is None
+        assert check_prop1(*joint_levels(joint)) is None and check_prop2(*joint_levels(joint)) is None
         monkeypatch.setattr(bounds_mod, "harm_bounds", broken_harm_bounds)
-        assert (propositions.check_prop1(joint) is not None) or (
-            propositions.check_prop2(joint) is not None
+        assert (propositions.check_prop1(*joint_levels(joint)) is not None) or (
+            propositions.check_prop2(*joint_levels(joint)) is not None
         )
+
+    def test_each_joint_is_derived_once_and_bounded_once_per_level(self, monkeypatch):
+        """The four checkers share one derivation of each joint's evidence and
+        one harm interval per evidence level."""
+        derived, bounded = [], []
+        observe, harm = propositions.observables_from_joint, bounds_mod.harm_bounds
+
+        def counted_observe(joint):
+            derived.append(joint)
+            return observe(joint)
+
+        def counted_harm(evidence):
+            bounded.append(evidence.p1 is None)
+            return harm(evidence)
+
+        monkeypatch.setattr(propositions, "observables_from_joint", counted_observe)
+        monkeypatch.setattr(bounds_mod, "harm_bounds", counted_harm)
+        n = 20
+        reports = run_harness(n, seed=5)
+        instances = 1 + len(degenerate_grid()) + n
+        assert all(r.instances_checked == instances for r in reports)
+        assert len(derived) == instances
+        assert sorted(bounded) == [False] * instances + [True] * instances
+
+
+class TestLevel:
+    def test_verdicts_read_the_reported_harm_interval(self, demo_evidence, monkeypatch):
+        """The counterfactual verdict is decided on the interval the level reports."""
+        monkeypatch.setattr(bounds_mod, "harm_bounds", lambda evidence: Interval(F(1, 3), F(1, 2)))
+        level = propositions.level(demo_evidence)
+        assert level.bounds["harm"] == Interval(F(1, 3), F(1, 2))
+        assert level.verdicts[1] == counterfactual_verdict(demo_evidence, level.bounds["harm"])
+        assert level.verdicts[1].value == F(1, 3)
+
+    def test_joint_levels(self, demo):
+        p0, p1 = observables_from_joint(demo)
+        p0_only, fused = joint_levels(demo)
+        assert p0_only.evidence == EvidenceSet(p0) and fused.evidence == EvidenceSet(p0, p1)
+        assert fused.bounds["harm"] == harm_bounds(EvidenceSet(p0, p1))
+        assert [v.school for v in fused.verdicts] == ["interventionist", "counterfactual"]
+        assert set(p0_only.bounds) == {"harm", "benefit", "ate", "cate0", "cate1"}
