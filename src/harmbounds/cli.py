@@ -235,9 +235,12 @@ def _labels_from_mapping(raw: dict, where: str) -> tuple[tuple[str, str], ...]:
 
 
 def _read_text(path: str) -> str:
-    """The text of a UTF-8 file; other bytes end in a ParseError that names their offset."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """The text of a UTF-8 file; other bytes, or a failed read, end in a ParseError."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror}") from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -568,6 +571,7 @@ def _emit_report(report: tuple[StratumReport, ...], fmt: str, stream) -> None:
         stream.write("\n")
     else:
         stream.write(render_text(report, color=_use_color(stream)))
+    stream.flush()  # a closed pipe raises here, inside `main`, not at interpreter exit
 
 
 def _counterexample_json(report: propositions.PropositionReport) -> dict:
@@ -637,6 +641,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                     indent=2,
                 )
                 print()
+            sys.stdout.flush()
             return status
         raise AssertionError(f"unhandled command {args.command!r}")
     except (ParseError, ValidationError, ValueError) as exc:
@@ -645,6 +650,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except IncompatibleEvidence as exc:
         print(f"error: incompatible evidence: {exc}", file=sys.stderr)
         return EXIT_ALL_INCOMPATIBLE
+    except BrokenPipeError:
+        # The reader stopped early (`| head`): quiet the interpreter's last flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -8,8 +8,12 @@ this one, so a check against it never compares a result with itself.
 Dimension is tiny (at most 8 atoms, 6 equality rows), so the solver
 enumerates basic feasible solutions with rational Gaussian elimination:
 every vertex of {x >= 0, sum x = 1, Ax = b} is the unique solution of a
-full-column-rank square subsystem, and an optimum of a bounded nonempty LP
-sits at a vertex.
+nonsingular square subsystem, and an optimum of a bounded nonempty LP
+sits at a vertex.  The rows `build_program` writes, with the implicit
+sum-to-one row, are the 0/1 indicators of 1, y1, y0, a*, y1·a* and
+y0·(1 − a*) on the atoms.  Each brings a monomial that the ones before it
+lack, so they are linearly independent: the rank is the row count, and
+every vertex solves the restriction to as many columns as there are rows.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from .errors import IncompatibleEvidence, MissingObservational, NullStratum
 from .model import ATOM_KEYS, ONE, ZERO
 
 _P0_ONLY_KEYS = tuple((y0, y1) for y0 in (0, 1) for y1 in (0, 1))
+_COORDS = ("y0", "y1", "astar")  # the names of an atom key's coordinates, in order
+_RESPONSE_TYPES = {"harm": (0, 1), "benefit": (1, 0)}  # (y0, y1) of each type
 
 
 @dataclass(frozen=True)
@@ -53,14 +59,18 @@ class LpResult:
     witness: Optional[tuple[Fraction, ...]] = None
 
 
-def _parse_target(target: str) -> tuple[str, Optional[int]]:
-    if target in ("harm", "benefit"):
-        return target, None
-    for kind in ("harm", "benefit"):
-        for astar in (0, 1):
-            if target == f"{kind}_given_{astar}":
-                return kind, astar
-    raise ValueError(f"unknown target {target!r}")
+def _parse_target(target: str) -> tuple[tuple[int, int], Optional[int]]:
+    """The (y0, y1) response type and the A* stratum (None: all) of a report key."""
+    kind, given, astar = target.partition("_given")
+    if kind not in _RESPONSE_TYPES or astar not in (("0", "1") if given else ("",)):
+        raise ValueError(f"unknown target {target!r}")
+    return _RESPONSE_TYPES[kind], int(astar) if given else None
+
+
+def _indicator(keys: tuple[tuple[int, ...], ...], **coords: int) -> tuple[Fraction, ...]:
+    """The 0/1 row of the atoms whose named coordinates have the given values."""
+    where = [(_COORDS.index(name), value) for name, value in coords.items()]
+    return tuple(ONE if all(key[i] == value for i, value in where) else ZERO for key in keys)
 
 
 def build_program(evidence: EvidenceSet, target: str) -> LinearProgram:
@@ -70,104 +80,39 @@ def build_program(evidence: EvidenceSet, target: str) -> LinearProgram:
     problems over the 4 atoms of (y0, y1).  Conditional objectives are the
     within-stratum numerator; the caller rescales by the known stratum mass.
     """
-    kind, astar = _parse_target(target)
+    (y0, y1), astar = _parse_target(target)
     p0, p1 = evidence.p0, evidence.p1
-    if p1 is None:
-        if astar is not None:
-            raise MissingObservational("conditional target requires natural-choice data")
-        rows = (
-            (tuple(ONE if y1 == 1 else ZERO for (_y0, y1) in _P0_ONLY_KEYS), p0.p_do1),
-            (tuple(ONE if y0 == 1 else ZERO for (y0, _y1) in _P0_ONLY_KEYS), p0.p_do0),
-        )
-        if kind == "harm":
-            objective = tuple(
-                ONE if (y0, y1) == (0, 1) else ZERO for (y0, y1) in _P0_ONLY_KEYS
-            )
-        else:
-            objective = tuple(
-                ONE if (y0, y1) == (1, 0) else ZERO for (y0, y1) in _P0_ONLY_KEYS
-            )
-        return LinearProgram(4, objective, rows)
-
-    rows_list: list[tuple[tuple[Fraction, ...], Fraction]] = [
-        (tuple(ONE if y1 == 1 else ZERO for (_y0, y1, _a) in ATOM_KEYS), p0.p_do1),
-        (tuple(ONE if y0 == 1 else ZERO for (y0, _y1, _a) in ATOM_KEYS), p0.p_do0),
-        (tuple(ONE if a == 1 else ZERO for (_y0, _y1, a) in ATOM_KEYS), p1.pi1),
-    ]
-    if p1.q1 is not None:
-        rows_list.append(
-            (
-                tuple(ONE if (y1, a) == (1, 1) else ZERO for (_y0, y1, a) in ATOM_KEYS),
-                p1.pi1 * p1.q1,
-            )
-        )
-    if p1.q0 is not None:
-        rows_list.append(
-            (
-                tuple(ONE if (y0, a) == (1, 0) else ZERO for (y0, _y1, a) in ATOM_KEYS),
-                (1 - p1.pi1) * p1.q0,
-            )
-        )
-    pattern = (0, 1) if kind == "harm" else (1, 0)
-    objective = tuple(
-        ONE
-        if (y0, y1) == pattern and (astar is None or a == astar)
-        else ZERO
-        for (y0, y1, a) in ATOM_KEYS
-    )
-    return LinearProgram(len(ATOM_KEYS), objective, tuple(rows_list))
+    if p1 is None and astar is not None:
+        raise MissingObservational("conditional target requires natural-choice data")
+    keys = _P0_ONLY_KEYS if p1 is None else ATOM_KEYS
+    rows = [(_indicator(keys, y1=1), p0.p_do1), (_indicator(keys, y0=1), p0.p_do0)]
+    if p1 is not None:
+        rows.append((_indicator(keys, astar=1), p1.pi1))
+        if p1.q1 is not None:
+            rows.append((_indicator(keys, y1=1, astar=1), p1.pi1 * p1.q1))
+        if p1.q0 is not None:
+            rows.append((_indicator(keys, y0=1, astar=0), (1 - p1.pi1) * p1.q0))
+    stratum = {} if astar is None else {"astar": astar}
+    return LinearProgram(len(keys), _indicator(keys, y0=y0, y1=y1, **stratum), tuple(rows))
 
 
 def _solve_square(
     rows: list[list[Fraction]], rhs: list[Fraction], cols: tuple[int, ...]
 ) -> Optional[list[Fraction]]:
-    """Solve the restriction to `cols` exactly; None unless uniquely solvable."""
-    m, k = len(rows), len(cols)
-    aug = [[rows[i][j] for j in cols] + [rhs[i]] for i in range(m)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(k):
-        pivot = next((i for i in range(row, m) if aug[i][col] != 0), None)
+    """Solve the square restriction to `cols` exactly; None if it is singular."""
+    aug = [[row[j] for j in cols] + [b] for row, b in zip(rows, rhs)]
+    for col in range(len(cols)):
+        pivot = next((i for i in range(col, len(aug)) if aug[i][col] != 0), None)
         if pivot is None:
-            return None  # rank-deficient restriction: no unique solution
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = aug[row][col]
-        aug[row] = [v / inv for v in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    if len(pivots) < k:
-        return None
-    for i in range(row, m):
-        if aug[i][k] != 0:
-            return None  # inconsistent
-    return [aug[r][k] for r in range(k)]
-
-
-def _matrix_rank(rows: list[list[Fraction]]) -> int:
-    mat = [row[:] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = mat[rank][col]
-        mat[rank] = [v / inv for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = aug[col][col]
+        aug[col] = [v / inv for v in aug[col]]
+        for i, other in enumerate(aug):
+            if i != col and other[col] != 0:
+                factor = other[col]
+                aug[i] = [a - factor * b for a, b in zip(other, aug[col])]
+    return [row[-1] for row in aug]
 
 
 @lru_cache(maxsize=1024)
@@ -175,19 +120,28 @@ def _feasible_vertices(
     num_atoms: int,
     eq_constraints: tuple[tuple[tuple[Fraction, ...], Fraction], ...],
 ) -> tuple[tuple[Fraction, ...], ...]:
-    """All vertices of {x >= 0, sum x = 1, Ax = b}; cached per constraint set."""
+    """All vertices of {x >= 0, sum x = 1, Ax = b}; cached per constraint set.
+
+    If no square restriction is nonsingular, the rows are linearly dependent,
+    which no program of `build_program` is: that raises ValueError.
+    """
     rows = [[ONE] * num_atoms] + [list(coeffs) for coeffs, _ in eq_constraints]
     rhs = [ONE] + [b for _, b in eq_constraints]
-    rank = _matrix_rank(rows)
     vertices: set[tuple[Fraction, ...]] = set()
-    for cols in combinations(range(num_atoms), rank):
+    nonsingular = False
+    for cols in combinations(range(num_atoms), len(rows)):
         solution = _solve_square(rows, rhs, cols)
-        if solution is None or any(v < 0 for v in solution):
+        if solution is None:
+            continue
+        nonsingular = True
+        if any(v < 0 for v in solution):
             continue
         point = [ZERO] * num_atoms
         for j, v in zip(cols, solution):
             point[j] = v
         vertices.add(tuple(point))
+    if not nonsingular:
+        raise ValueError("the equality rows are linearly dependent")
     return tuple(sorted(vertices))
 
 
@@ -212,9 +166,10 @@ def solve(lp: LinearProgram, sense: str) -> LpResult:
 
 
 def sharp_interval(evidence: EvidenceSet, target: str) -> Interval:
-    """[min, max] of the target ("harm", "benefit", "harm_given_<a*>" or
-    "benefit_given_<a*>") over all joints consistent with the evidence."""
-    kind, astar = _parse_target(target)
+    """[min, max] of the target ("harm", "benefit", "harm_given<a*>" or
+    "benefit_given<a*>", the report's keys) over all joints consistent with
+    the evidence."""
+    _, astar = _parse_target(target)
     scale = ONE
     if astar is not None:
         if evidence.p1 is None:

@@ -58,8 +58,8 @@ def corpus():
             mass = p1.pi1 if astar else 1 - p1.pi1
             if mass == 0:
                 continue
-            intervals[("fused", f"harm_given_{astar}")] = conditional_harm_bounds(ev1, astar)
-            intervals[("fused", f"benefit_given_{astar}")] = conditional_benefit_bounds(
+            intervals[("fused", f"harm_given{astar}")] = conditional_harm_bounds(ev1, astar)
+            intervals[("fused", f"benefit_given{astar}")] = conditional_benefit_bounds(
                 ev1, astar
             )
         records.append((joint, ev0, ev1, intervals))
@@ -148,10 +148,10 @@ class TestAcceptance:
                     ("p0", "benefit"): est.p_benefit,
                     ("fused", "harm"): est.p_harm,
                     ("fused", "benefit"): est.p_benefit,
-                    ("fused", "harm_given_0"): est.p_harm_given0,
-                    ("fused", "harm_given_1"): est.p_harm_given1,
-                    ("fused", "benefit_given_0"): est.p_benefit_given0,
-                    ("fused", "benefit_given_1"): est.p_benefit_given1,
+                    ("fused", "harm_given0"): est.p_harm_given0,
+                    ("fused", "harm_given1"): est.p_harm_given1,
+                    ("fused", "benefit_given0"): est.p_benefit_given0,
+                    ("fused", "benefit_given1"): est.p_benefit_given1,
                 }
                 for key, interval in intervals.items():
                     assert truths[key] in interval

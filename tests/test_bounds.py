@@ -23,6 +23,7 @@ from harmbounds import (
 )
 from harmbounds.lp_oracle import sharp_interval
 from harmbounds.model import degenerate_grid
+from harmbounds.propositions import joint_levels
 
 from conftest import joints
 
@@ -153,10 +154,20 @@ def _assert_matches_oracle(joint):
     for astar in (0, 1):
         if (p1.pi1 if astar else 1 - p1.pi1) == 0:
             continue
-        assert conditional_harm_bounds(ev1, astar) == sharp_interval(ev1, f"harm_given_{astar}")
+        assert conditional_harm_bounds(ev1, astar) == sharp_interval(ev1, f"harm_given{astar}")
         assert conditional_benefit_bounds(ev1, astar) == sharp_interval(
-            ev1, f"benefit_given_{astar}"
+            ev1, f"benefit_given{astar}"
         )
+    # The intervals the report prints, under the report's keys.
+    for level in joint_levels(joint):
+        for key, interval in level.bounds.items():
+            if not key.startswith(("harm", "benefit")):
+                continue  # the ATEs, which the oracle does not cover
+            if interval is None:
+                with pytest.raises(NullStratum):
+                    sharp_interval(level.evidence, key)
+            else:
+                assert interval == sharp_interval(level.evidence, key), key
 
 
 @pytest.mark.parametrize("joint", degenerate_grid())

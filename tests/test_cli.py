@@ -367,6 +367,36 @@ class TestMain:
         path.write_text("{")
         assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
 
+    def test_unreadable_file_is_one_error_line(self, capsys, tmp_path, monkeypatch):
+        """A read that fails (as on /proc/self/mem) ends in one error line, not a traceback."""
+
+        def failing_open(*_args, **_kwargs):
+            raise OSError(5, "Input/output error")
+
+        path = write_json(tmp_path, DEMO_COUNTS)
+        monkeypatch.setattr("harmbounds.cli.open", failing_open, raising=False)
+        assert main(["analyze", "--input", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: cannot read: Input/output error\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["example", "--format", "json"], ["verify", "--samples", "20"]], ids=["example", "verify"]
+    )
+    def test_closed_stdout_exits_1_without_traceback(self, argv):
+        """A reader that stops early (`| head -c 1`) must not cost a traceback."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "harmbounds.cli", *argv],
+                env=src_env(), stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == EXIT_USAGE
+        assert result.stderr == ""  # no traceback, no "Exception ignored" line
+
     def test_verify_small_run(self, capsys):
         assert main(["verify", "--samples", "30", "--seed", "42"]) == EXIT_OK
         out = capsys.readouterr().out

@@ -39,26 +39,34 @@ def demo_p0(demo):
     return EvidenceSet(p0)
 
 
-class TestBuildProgram:
-    def test_fused_shape(self, demo_fused):
-        lp = build_program(demo_fused, "harm")
-        assert lp.num_atoms == 8
-        assert len(lp.eq_constraints) == 5
+_P0 = ExperimentalParams(F(1, 3), F(2, 5))
 
-    def test_p0_only_shape(self, demo_p0):
-        lp = build_program(demo_p0, "harm")
-        assert lp.num_atoms == 4
-        assert len(lp.eq_constraints) == 2
+
+class TestBuildProgram:
+    @pytest.mark.parametrize(
+        "evidence, num_atoms, num_rows",
+        [
+            (EvidenceSet(_P0), 4, 2),
+            (EvidenceSet(_P0, ObservationalParams(F(1, 2), F(1, 3), F(2, 5))), 8, 5),
+            (EvidenceSet(_P0, ObservationalParams(F(0), None, F(2, 5))), 8, 4),
+            (EvidenceSet(_P0, ObservationalParams(F(1), F(1, 3), None)), 8, 4),
+        ],
+        ids=["p0_only", "fused", "pi1_is_0", "pi1_is_1"],
+    )
+    def test_shape(self, evidence, num_atoms, num_rows):
+        lp = build_program(evidence, "harm")
+        assert lp.num_atoms == num_atoms
+        assert len(lp.eq_constraints) == num_rows
 
     def test_conditional_without_observational_raises(self, demo_p0):
         with pytest.raises(MissingObservational):
-            build_program(demo_p0, "harm_given_1")
+            build_program(demo_p0, "harm_given1")
 
     def test_conditional_numerator_ratio(self, demo_fused):
-        lp = build_program(demo_fused, "harm_given_1")
+        lp = build_program(demo_fused, "harm_given1")
         numerator = solve(lp, "max")
         assert numerator.value == 0
-        assert sharp_interval(demo_fused, "harm_given_1") == Interval(0, 0)
+        assert sharp_interval(demo_fused, "harm_given1") == Interval(0, 0)
 
     def test_unknown_target(self, demo_fused):
         with pytest.raises(ValueError):
@@ -87,6 +95,12 @@ class TestSolve:
         result = solve(lp, "min")
         assert result.status == "infeasible"
         assert result.value is None
+
+    def test_dependent_rows_rejected(self):
+        row = ((F(0), F(1), F(0), F(1)), F(1, 2))
+        lp = LinearProgram(4, (F(0), F(1), F(0), F(0)), (row, row))
+        with pytest.raises(ValueError, match="linearly dependent"):
+            solve(lp, "min")
 
     def test_rejects_bad_sense(self, demo_p0):
         with pytest.raises(ValueError):
@@ -127,7 +141,7 @@ class TestSharpInterval:
         p0 = ExperimentalParams(F(1, 3), F(2, 5))
         p1 = ObservationalParams(F(0), None, F(2, 5))
         with pytest.raises(NullStratum):
-            sharp_interval(EvidenceSet(p0, p1), "harm_given_1")
+            sharp_interval(EvidenceSet(p0, p1), "harm_given1")
 
     def test_incompatible_raises(self):
         p0 = ExperimentalParams(F(1, 10), F(1, 2))
