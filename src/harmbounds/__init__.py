@@ -30,7 +30,6 @@ from .model import (
     ExperimentalParams,
     JointDistribution,
     ObservationalParams,
-    degenerate_family,
     demo_joint,
     observables_from_joint,
     sample_joint,

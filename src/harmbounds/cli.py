@@ -61,6 +61,9 @@ _CSV_HEADER = [
     "obs_c_events",
     "obs_c_total",
 ]
+# The only keys a JSON stratum and its `parameters` block may hold.
+_STRATUM_KEYS = ("labels", "experimental", "observational", "parameters")
+_PARAMETER_KEYS = ("p_do1", "p_do0", "pi1", "q1", "q0")
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +205,7 @@ def _stratum_from_parameters(
 ) -> StratumInput:
     if not isinstance(params, dict):
         raise ParseError(f"{where}: parameters must be an object")
+    _refuse_unknown_keys(params, _PARAMETER_KEYS, "parameter", where)
 
     def prob(key: str, required: bool = True) -> Optional[Fraction]:
         if key not in params or params[key] is None:
@@ -218,6 +222,9 @@ def _stratum_from_parameters(
     p0 = ExperimentalParams(prob("p_do1"), prob("p_do0"))
     p1 = None
     pi1 = prob("pi1", required=False)
+    for key in ("q1", "q0"):
+        if pi1 is None and params.get(key) is not None:
+            raise ParseError(f"{where}: parameter {key!r} needs 'pi1'")
     if pi1 is not None:
         try:
             p1 = ObservationalParams(
@@ -228,10 +235,21 @@ def _stratum_from_parameters(
     return StratumInput(labels, bounds_mod.EvidenceSet(p0, p1))
 
 
-def _labels_from_mapping(raw: dict, where: str) -> tuple[tuple[str, str], ...]:
+def _refuse_unknown_keys(block: dict, known: tuple[str, ...], what: str, where: str) -> None:
+    for key in block:
+        if key not in known:
+            raise ParseError(f"{where}: unknown {what} {key!r}")
+
+
+def _labels_from_mapping(raw: object, where: str) -> tuple[tuple[str, str], ...]:
     if not isinstance(raw, dict):
         raise ParseError(f"{where}: labels must be a string-to-string mapping")
-    return tuple((str(k), str(v)) for k, v in raw.items())
+    for key, value in raw.items():
+        if not isinstance(value, str):
+            raise ParseError(
+                f"{where}: labels must be a string-to-string mapping; label {key!r} is not a string"
+            )
+    return tuple(raw.items())
 
 
 def _read_text(path: str) -> str:
@@ -265,8 +283,12 @@ def _parse_json_input(path: str) -> tuple[StratumInput, ...]:
         where = f"{path}, stratum {i}"
         if not isinstance(raw, dict):
             raise ParseError(f"{where}: expected an object")
+        _refuse_unknown_keys(raw, _STRATUM_KEYS, "key", where)
         labels = _labels_from_mapping(raw.get("labels", {}), where)
         if "parameters" in raw:
+            for key in ("experimental", "observational"):
+                if key in raw:
+                    raise ParseError(f"{where}: {key!r} cannot be combined with 'parameters'")
             strata.append(_stratum_from_parameters(labels, raw["parameters"], where))
         elif "experimental" in raw:
             strata.append(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -215,134 +215,71 @@ def demo_joint() -> JointDistribution:
     )
 
 
-def _stratum_cells(spec: Mapping[str, object]) -> dict[tuple[int, int], Fraction]:
-    """Within-stratum law over (y0, y1) from a degeneracy spec.
+_Cells = dict[tuple[int, int], Fraction]  # within-stratum law over (y0, y1)
 
-    spec is either {"force": (arm, value), "risk": r} — the forced arm's
-    outcome is deterministic and r is the other arm's death risk — or
-    {"risks": (r1, r0)} for an independent product law with P(y1=1)=r1,
-    P(y0=1)=r0.
+
+def _forced(arm: int, value: int, risk: Fraction) -> _Cells:
+    """Arm `arm` always has outcome `value`; the other arm dies with probability `risk`."""
+    if arm == 1:
+        return {(0, value): 1 - risk, (1, value): risk}
+    return {(value, 0): 1 - risk, (value, 1): risk}
+
+
+def _independent(r1: Fraction, r0: Fraction) -> _Cells:
+    """Product law with P(y1=1) = r1 and P(y0=1) = r0."""
+    return {
+        (y0, y1): (r0 if y0 else 1 - r0) * (r1 if y1 else 1 - r1)
+        for y0 in (0, 1)
+        for y1 in (0, 1)
+    }
+
+
+def _stratified(pi1: Fraction, cells0: _Cells, cells1: _Cells) -> JointDistribution:
+    """Joint with P(A*=1) = pi1 and the given within-stratum laws.
+
+    The law of an empty stratum needs no special case: its cells weigh 0.
     """
-    if "force" in spec:
-        arm, value = spec["force"]  # type: ignore[misc]
-        if arm not in (0, 1) or value not in (0, 1):
-            raise ValueError(f"invalid forcing {spec['force']!r}")
-        risk = as_prob(spec["risk"])  # type: ignore[arg-type]
-        cells: dict[tuple[int, int], Fraction] = {}
-        for other in (0, 1):
-            weight = risk if other == 1 else 1 - risk
-            y0, y1 = (other, value) if arm == 1 else (value, other)
-            cells[(y0, y1)] = weight
-        return cells
-    if "risks" in spec:
-        r1, r0 = (as_prob(r) for r in spec["risks"])  # type: ignore[misc]
-        return {
-            (y0, y1): (r0 if y0 else 1 - r0) * (r1 if y1 else 1 - r1)
-            for y0 in (0, 1)
-            for y1 in (0, 1)
+    return JointDistribution.from_mapping(
+        {
+            (y0, y1, astar): mass * weight
+            for astar, mass, cells in ((0, 1 - pi1, cells0), (1, pi1, cells1))
+            for (y0, y1), weight in cells.items()
         }
-    raise ValueError("stratum spec needs 'force' or 'risks'")
-
-
-def degenerate_family(kind: str, params: Mapping[str, object]) -> JointDistribution:
-    """Construct joints hitting the point-identification degeneracy branches.
-
-    kind="marginal": one arm's potential outcome is deterministic marginally.
-      params: arm, value, free — 4 weights over (other outcome, astar) in
-      the order (0,0),(0,1),(1,0),(1,1), summing to 1.
-    kind="stratum": per-stratum determinisms as in the demo instance.
-      params: pi1, strata — mapping astar -> stratum spec (see _stratum_cells);
-      strata with zero mass may be omitted.
-    """
-    if kind == "marginal":
-        arm = params["arm"]
-        value = params["value"]
-        if arm not in (0, 1) or value not in (0, 1):
-            raise ValueError(f"invalid arm/value ({arm!r}, {value!r})")
-        free = [as_prob(p) for p in params["free"]]  # type: ignore[union-attr]
-        if len(free) != 4 or sum(free) != 1:
-            raise ValueError("free weights must be 4 probabilities summing to 1")
-        atoms: dict[AtomKey, Fraction] = {}
-        for weight, (other, astar) in zip(
-            free, ((0, 0), (0, 1), (1, 0), (1, 1))
-        ):
-            y0, y1 = (other, value) if arm == 1 else (value, other)
-            atoms[(y0, y1, astar)] = weight
-        return JointDistribution.from_mapping(atoms)
-
-    if kind == "stratum":
-        pi1 = as_prob(params["pi1"])  # type: ignore[arg-type]
-        strata: Mapping[int, Mapping[str, object]] = params["strata"]  # type: ignore[assignment]
-        atoms = {}
-        for astar, mass in ((0, 1 - pi1), (1, pi1)):
-            if mass == 0:
-                continue
-            if astar not in strata:
-                raise ValueError(f"missing spec for non-null stratum A*={astar}")
-            for (y0, y1), weight in _stratum_cells(strata[astar]).items():
-                atoms[(y0, y1, astar)] = atoms.get((y0, y1, astar), ZERO) + mass * weight
-        return JointDistribution.from_mapping(atoms)
-
-    raise ValueError(f"unknown degeneracy kind {kind!r}")
+    )
 
 
 def degenerate_grid() -> list[JointDistribution]:
     """Systematic instances across every degeneracy branch, for the harness."""
+    half = Fraction(1, 2)
     grid: list[JointDistribution] = []
-    free_settings: Sequence[tuple[RationalLike, ...]] = (
-        (1, 0, 0, 0),
-        (0, 0, 0, 1),
-        (Fraction(1, 4),) * 4,
-        (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)),
-    )
+    # one arm's outcome deterministic in both strata; each setting is
+    # (P(A*=1), the other arm's risk within A*=0, within A*=1)
     for arm in (0, 1):
         for value in (0, 1):
-            for free in free_settings:
-                grid.append(degenerate_family("marginal", {"arm": arm, "value": value, "free": free}))
-
-    risk_settings = (ZERO, Fraction(3, 10), ONE)
+            for pi1, risk0, risk1 in (
+                (ZERO, ZERO, ZERO),
+                (ONE, ONE, ONE),
+                (half, half, half),
+                (Fraction(3, 8), Fraction(1, 5), Fraction(1, 3)),
+            ):
+                grid.append(_stratified(pi1, _forced(arm, value, risk0), _forced(arm, value, risk1)))
+    # per-stratum determinisms as in the demo instance
     for pi1 in (ZERO, Fraction(3, 10), Fraction(7, 10), ONE):
         for force0 in ((1, 1), (0, 0)):
             for force1 in ((0, 1), (1, 0)):
-                for risk in risk_settings:
-                    grid.append(
-                        degenerate_family(
-                            "stratum",
-                            {
-                                "pi1": pi1,
-                                "strata": {
-                                    0: {"force": force0, "risk": risk},
-                                    1: {"force": force1, "risk": risk},
-                                },
-                            },
-                        )
-                    )
+                for risk in (ZERO, Fraction(3, 10), ONE):
+                    grid.append(_stratified(pi1, _forced(*force0, risk), _forced(*force1, risk)))
     # one-sided determinism: only a single stratum forced
-    for pi1 in (Fraction(1, 2), Fraction(7, 10)):
-        grid.append(
-            degenerate_family(
-                "stratum",
-                {
-                    "pi1": pi1,
-                    "strata": {
-                        0: {"force": (1, 1), "risk": Fraction(3, 10)},
-                        1: {"risks": (Fraction(2, 5), Fraction(3, 5))},
-                    },
-                },
-            )
-        )
+    forced_death = _forced(1, 1, Fraction(3, 10))
+    for pi1 in (half, Fraction(7, 10)):
+        grid.append(_stratified(pi1, forced_death, _independent(Fraction(2, 5), Fraction(3, 5))))
     # no degeneracy at all
     grid.append(JointDistribution(tuple(Fraction(1, 8) for _ in range(8))))
     grid.append(
-        degenerate_family(
-            "stratum",
-            {
-                "pi1": Fraction(2, 5),
-                "strata": {
-                    0: {"risks": (Fraction(1, 3), Fraction(1, 2))},
-                    1: {"risks": (Fraction(3, 4), Fraction(1, 5))},
-                },
-            },
+        _stratified(
+            Fraction(2, 5),
+            _independent(Fraction(1, 3), half),
+            _independent(Fraction(3, 4), Fraction(1, 5)),
         )
     )
     grid.append(demo_joint())

@@ -50,6 +50,11 @@ DEMO_COUNTS = {
 }
 
 
+# The demo stratum, and the same stratum as identified parameters.
+DEMO_STRATUM = DEMO_COUNTS["strata"][0]
+DEMO_PARAMETERS = {"p_do1": "51/100", "p_do0": "79/100", "pi1": "7/10", "q1": "3/10", "q0": "3/10"}
+
+
 # Compatible with an empty natural-choice treated arm: everyone is in A*=0,
 # so P(Y=1|do(A=0)) must equal the observed risk 9/30.
 EMPTY_ARM_COUNTS = {
@@ -527,6 +532,55 @@ class TestInputBoundary:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith(f"error: {path}, stratum 0, parameter 'p_do1': ")
+
+    @pytest.mark.parametrize(
+        "stratum,key",
+        [
+            (
+                {"experimental": DEMO_STRATUM["experimental"], "observatonal": DEMO_STRATUM["observational"]},
+                "unknown key 'observatonal'",
+            ),
+            ({"parameters": DEMO_PARAMETERS | {"note": "men"}}, "unknown parameter 'note'"),
+            (
+                {"parameters": {"p_do1": "51/100", "p_do0": "79/100", "pi_1": "7/10", "q1": "3/10"}},
+                "unknown parameter 'pi_1'",
+            ),
+            ({"parameters": {"p_do1": "51/100", "p_do0": "79/100", "q1": "3/10"}}, "'q1' needs 'pi1'"),
+            ({"parameters": {"p_do1": "51/100", "p_do0": "79/100", "q0": "3/10"}}, "'q0' needs 'pi1'"),
+            (DEMO_STRATUM | {"parameters": DEMO_PARAMETERS}, "'experimental' cannot"),
+            (
+                {"parameters": DEMO_PARAMETERS, "observational": DEMO_STRATUM["observational"]},
+                "'observational' cannot",
+            ),
+        ],
+        ids=[
+            "misspelled-observational",
+            "unknown-parameter",
+            "misspelled-pi1",
+            "q1-without-pi1",
+            "q0-without-pi1",
+            "parameters-and-experimental",
+            "parameters-and-observational",
+        ],
+    )
+    def test_ignored_keys_are_refused(self, stratum, key, tmp_path, capsys):
+        """Each of these strata used to be analyzed with a key silently dropped."""
+        path = write_json(tmp_path, {"strata": [stratum]})
+        assert main(["analyze", "--input", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {path}, stratum 0: ") and key in captured.err
+
+    @pytest.mark.parametrize(
+        "value", [{"b": 1}, None, True, 7, ["men"]], ids=["object", "null", "bool", "number", "array"]
+    )
+    def test_label_value_must_be_a_string(self, value, tmp_path, capsys):
+        path = write_json(tmp_path, _with(("labels",), {"sex": "men", "site": value}))
+        assert main(["analyze", "--input", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {path}, stratum 0: labels must be")
+        assert "'site'" in captured.err
 
     @pytest.mark.parametrize(
         "digits,where",

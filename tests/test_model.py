@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from harmbounds import (
     JointDistribution,
     compatibility_check,
-    degenerate_family,
     demo_joint,
     observables_from_joint,
     sample_joint,
@@ -110,42 +110,34 @@ class TestSampleJoint:
         assert all(seen_positive)
 
 
+# sha256 over str(joint.atoms) of every degenerate_grid() member, in order,
+# recorded before the grid's constructor was rewritten
+GRID_SHA256 = "9452bd7f80869a14e6623420adff341b8e35556861889a57b2e49b94a5953c1c"
+
+
 class TestDegenerateFamily:
+    """The constructed joints of degenerate_grid()."""
+
     def test_marginal_forced_death(self):
-        j = degenerate_family(
-            "marginal", {"arm": 1, "value": 1, "free": (F(1, 4),) * 4}
-        )
+        j = degenerate_grid()[14]
         assert j.mass(y1=1) == 1
 
     def test_stratum_pattern_reproduces_demo(self):
-        j = degenerate_family(
-            "stratum",
-            {
-                "pi1": F(7, 10),
-                "strata": {
-                    0: {"force": (1, 1), "risk": F(3, 10)},
-                    1: {"force": (0, 1), "risk": F(3, 10)},
-                },
-            },
-        )
+        j = degenerate_grid()[41]
         assert j == demo_joint()
         assert observables_from_joint(j) == observables_from_joint(demo_joint())
-
-    def test_invalid_free_params(self):
-        with pytest.raises(ValueError):
-            degenerate_family(
-                "marginal", {"arm": 1, "value": 0, "free": (F(1, 2),) * 4}
-            )
-        with pytest.raises(ValueError):
-            degenerate_family("marginal", {"arm": 2, "value": 0, "free": (1, 0, 0, 0)})
-        with pytest.raises(ValueError):
-            degenerate_family("unknown", {})
 
     def test_grid_members_are_valid(self):
         grid = degenerate_grid()
         assert len(grid) > 50
         for j in grid:
             assert sum(j.atoms) == 1
+
+    def test_grid_is_unchanged(self):
+        digest = hashlib.sha256()
+        for j in degenerate_grid():
+            digest.update(str(j.atoms).encode())
+        assert digest.hexdigest() == GRID_SHA256
 
 
 class TestInvariants:

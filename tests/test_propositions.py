@@ -13,7 +13,6 @@ from harmbounds import (
     check_prop3,
     check_prop4,
     counterfactual_verdict,
-    degenerate_family,
     harm_bounds,
     interventionist_verdict,
     is_point_identified,
@@ -85,9 +84,7 @@ class TestCheckers:
         assert harm_bounds(EvidenceSet(p0)) == Interval(0, F(1, 2))
 
     def test_marginal_degeneracy_point_identifies(self):
-        joint = degenerate_family(
-            "marginal", {"arm": 1, "value": 1, "free": (F(1, 4),) * 4}
-        )
+        joint = degenerate_grid()[14]
         p0, _ = observables_from_joint(joint)
         assert p0.p_do1 == 1
         assert is_point_identified(harm_bounds(EvidenceSet(p0)))
