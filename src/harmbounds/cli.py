@@ -152,6 +152,7 @@ def _cell(block: object, arm: str, where: str) -> tuple[int, int]:
     cell = block.get(arm) if isinstance(block, dict) else None
     if not isinstance(cell, dict):
         raise ParseError(f"{where}: expected an object with events/total counts")
+    _refuse_unknown_keys(cell, ("events", "total"), "key", where)
     events, total = cell.get("events"), cell.get("total")
     if type(events) is not int or type(total) is not int:
         raise ParseError(
@@ -278,6 +279,7 @@ def _parse_json_input(path: str) -> tuple[StratumInput, ...]:
         ) from None
     if not isinstance(data, dict) or not isinstance(data.get("strata"), list):
         raise ParseError(f"{path}: expected a top-level object with a 'strata' list")
+    _refuse_unknown_keys(data, ("strata",), "key", path)
     strata = []
     for i, raw in enumerate(data["strata"]):
         where = f"{path}, stratum {i}"
@@ -291,6 +293,11 @@ def _parse_json_input(path: str) -> tuple[StratumInput, ...]:
                     raise ParseError(f"{where}: {key!r} cannot be combined with 'parameters'")
             strata.append(_stratum_from_parameters(labels, raw["parameters"], where))
         elif "experimental" in raw:
+            for name in ("experimental", "observational"):
+                if isinstance(raw.get(name), dict):
+                    _refuse_unknown_keys(
+                        raw[name], ("treated", "untreated"), "arm", f"{where}, {name}"
+                    )
             strata.append(
                 _stratum_from_counts(labels, raw["experimental"], raw.get("observational"), where)
             )
@@ -320,12 +327,19 @@ def _csv_cells(row: list[str], first: int, where: str) -> dict:
 
 
 def _csv_labels(cell: str, where: str) -> tuple[tuple[str, str], ...]:
-    """The `key=value` fragments of a labels cell; blank fragments are skipped."""
-    parts = [part for part in cell.split(";") if part.strip()]
-    for part in parts:
+    """The `key=value` fragments of a labels cell; blank fragments are skipped
+    and a repeated key is refused."""
+    labels: dict[str, str] = {}
+    for part in cell.split(";"):
+        if not part.strip():
+            continue
         if "=" not in part:
             raise ParseError(f"{where}: label {part!r} is not of the form key=value")
-    return tuple(tuple(part.split("=", 1)) for part in parts)
+        key, value = part.split("=", 1)
+        if key in labels:
+            raise ParseError(f"{where}: label key {key!r} is repeated")
+        labels[key] = value
+    return tuple(labels.items())
 
 
 def _csv_rows(fh, path: str):

@@ -14,15 +14,17 @@ sum-to-one row, are the 0/1 indicators of 1, y1, y0, a*, y1·a* and
 y0·(1 − a*) on the atoms.  Each brings a monomial that the ones before it
 lack, so they are linearly independent: the rank is the row count, and
 every vertex solves the restriction to as many columns as there are rows.
+The rows depend only on which evidence is present, so each such shape's
+bases B are inverted once, and the vertices are the nonnegative B^-1 b.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Optional
+from math import lcm
+from typing import NamedTuple, Optional
 
 from .bounds import EvidenceSet, Interval
 from .errors import IncompatibleEvidence, MissingObservational, NullStratum
@@ -33,8 +35,7 @@ _COORDS = ("y0", "y1", "astar")  # the names of an atom key's coordinates, in or
 _RESPONSE_TYPES = {"harm": (0, 1), "benefit": (1, 0)}  # (y0, y1) of each type
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(NamedTuple):
     """Linear functional of the atoms under equality evidence constraints.
 
     Nonnegativity and sum-to-one are implicit.
@@ -43,20 +44,6 @@ class LinearProgram:
     num_atoms: int
     objective: tuple[Fraction, ...]
     eq_constraints: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.objective) != self.num_atoms:
-            raise ValueError("objective length mismatch")
-        for coeffs, _rhs in self.eq_constraints:
-            if len(coeffs) != self.num_atoms:
-                raise ValueError("constraint length mismatch")
-
-
-@dataclass(frozen=True)
-class LpResult:
-    status: str  # "optimal" | "infeasible"
-    value: Optional[Fraction] = None
-    witness: Optional[tuple[Fraction, ...]] = None
 
 
 def _parse_target(target: str) -> tuple[tuple[int, int], Optional[int]]:
@@ -97,10 +84,10 @@ def build_program(evidence: EvidenceSet, target: str) -> LinearProgram:
 
 
 def _solve_square(
-    rows: list[list[Fraction]], rhs: list[Fraction], cols: tuple[int, ...]
-) -> Optional[list[Fraction]]:
-    """Solve the square restriction to `cols` exactly; None if it is singular."""
-    aug = [[row[j] for j in cols] + [b] for row, b in zip(rows, rhs)]
+    rows: list[list[Fraction]], rhs: list[list[Fraction]], cols: tuple[int, ...]
+) -> Optional[tuple[tuple[Fraction, ...], ...]]:
+    """Solve the square restriction to `cols` exactly for each column of `rhs`; None if singular."""
+    aug = [[row[j] for j in cols] + b for row, b in zip(rows, rhs)]
     for col in range(len(cols)):
         pivot = next((i for i in range(col, len(aug)) if aug[i][col] != 0), None)
         if pivot is None:
@@ -112,7 +99,28 @@ def _solve_square(
             if i != col and other[col] != 0:
                 factor = other[col]
                 aug[i] = [a - factor * b for a, b in zip(other, aug[col])]
-    return [row[-1] for row in aug]
+    return tuple(tuple(row[len(cols):]) for row in aug)
+
+
+@lru_cache(maxsize=None)
+def _bases(
+    num_atoms: int, coefficients: tuple[tuple[Fraction, ...], ...]
+) -> tuple[tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...]], ...]:
+    """(columns, d, d * inverse) of each nonsingular square restriction of the
+    sum-to-one row and `coefficients`, d clearing the inverse's denominators.
+    If there is none, the rows are linearly dependent, which no program of
+    `build_program` is: that raises ValueError."""
+    rows = [[ONE] * num_atoms] + [list(row) for row in coefficients]
+    identity = [[ONE if i == j else ZERO for j in range(len(rows))] for i in range(len(rows))]
+    bases = []
+    for cols in combinations(range(num_atoms), len(rows)):
+        inverse = _solve_square(rows, identity, cols)
+        if inverse is not None:
+            d = lcm(*(a.denominator for row in inverse for a in row))
+            bases.append((cols, d, tuple(tuple(int(a * d) for a in row) for row in inverse)))
+    if not bases:
+        raise ValueError("the equality rows are linearly dependent")
+    return tuple(bases)
 
 
 @lru_cache(maxsize=1024)
@@ -122,66 +130,33 @@ def _feasible_vertices(
 ) -> tuple[tuple[Fraction, ...], ...]:
     """All vertices of {x >= 0, sum x = 1, Ax = b}; cached per constraint set.
 
-    If no square restriction is nonsingular, the rows are linearly dependent,
-    which no program of `build_program` is: that raises ValueError.
+    Each nonnegative B^-1 b is computed in integers over b's common denominator.
     """
-    rows = [[ONE] * num_atoms] + [list(coeffs) for coeffs, _ in eq_constraints]
-    rhs = [ONE] + [b for _, b in eq_constraints]
+    rhs = (ONE, *(b for _, b in eq_constraints))
+    denominator = lcm(*(b.denominator for b in rhs))
+    rhs_int = [b.numerator * (denominator // b.denominator) for b in rhs]
     vertices: set[tuple[Fraction, ...]] = set()
-    nonsingular = False
-    for cols in combinations(range(num_atoms), len(rows)):
-        solution = _solve_square(rows, rhs, cols)
-        if solution is None:
-            continue
-        nonsingular = True
-        if any(v < 0 for v in solution):
-            continue
-        point = [ZERO] * num_atoms
-        for j, v in zip(cols, solution):
-            point[j] = v
-        vertices.add(tuple(point))
-    if not nonsingular:
-        raise ValueError("the equality rows are linearly dependent")
+    for cols, d, inverse in _bases(num_atoms, tuple(coeffs for coeffs, _ in eq_constraints)):
+        solution = [sum(a * b for a, b in zip(row, rhs_int)) for row in inverse]
+        if min(solution) >= 0:
+            point = [ZERO] * num_atoms
+            for j, v in zip(cols, solution):
+                point[j] = Fraction(v, d * denominator)
+            vertices.add(tuple(point))
     return tuple(sorted(vertices))
-
-
-def solve(lp: LinearProgram, sense: str) -> LpResult:
-    """Exact optimum of the program; infeasibility signals incompatible evidence."""
-    if sense not in ("min", "max"):
-        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-    vertices = _feasible_vertices(lp.num_atoms, lp.eq_constraints)
-    if not vertices:
-        return LpResult(status="infeasible")
-    best_value: Optional[Fraction] = None
-    best_vertex: Optional[tuple[Fraction, ...]] = None
-    for vertex in vertices:
-        value = sum(c * x for c, x in zip(lp.objective, vertex))
-        if (
-            best_value is None
-            or (sense == "min" and value < best_value)
-            or (sense == "max" and value > best_value)
-        ):
-            best_value, best_vertex = value, vertex
-    return LpResult(status="optimal", value=best_value, witness=best_vertex)
 
 
 def sharp_interval(evidence: EvidenceSet, target: str) -> Interval:
     """[min, max] of the target ("harm", "benefit", "harm_given<a*>" or
     "benefit_given<a*>", the report's keys) over all joints consistent with
-    the evidence."""
-    _, astar = _parse_target(target)
-    scale = ONE
-    if astar is not None:
-        if evidence.p1 is None:
-            raise MissingObservational("conditional target requires natural-choice data")
-        mass = evidence.p1.pi1 if astar == 1 else 1 - evidence.p1.pi1
-        if mass == 0:
-            raise NullStratum(f"P(A*={astar}) = 0")
-        scale = mass
+    the evidence; IncompatibleEvidence if there is none."""
     lp = build_program(evidence, target)
-    low = solve(lp, "min")
-    high = solve(lp, "max")
-    if low.status == "infeasible" or high.status == "infeasible":
+    _, astar = _parse_target(target)
+    scale = ONE if astar is None else evidence.p1.pi1 if astar else 1 - evidence.p1.pi1
+    if scale == 0:
+        raise NullStratum(f"P(A*={astar}) = 0")
+    vertices = _feasible_vertices(lp.num_atoms, lp.eq_constraints)
+    if not vertices:
         raise IncompatibleEvidence("no joint distribution matches the evidence")
-    assert low.value is not None and high.value is not None
-    return Interval(low.value / scale, high.value / scale)
+    values = [sum(c * x for c, x in zip(lp.objective, vertex) if c) for vertex in vertices]
+    return Interval(min(values) / scale, max(values) / scale)

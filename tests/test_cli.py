@@ -572,6 +572,64 @@ class TestInputBoundary:
         assert captured.err.startswith(f"error: {path}, stratum 0: ") and key in captured.err
 
     @pytest.mark.parametrize(
+        "payload,where,message",
+        [
+            (
+                {
+                    "strata": [
+                        {
+                            "experimental": {
+                                "treated": {"events": 1, "total": 2, "evnts": 7},
+                                "untreated": {"events": 1, "total": 2},
+                                "untretaed": {"events": 0, "total": 5},
+                            }
+                        }
+                    ],
+                    "strta": [],
+                },
+                "",
+                "unknown key 'strta'",
+            ),
+            (DEMO_COUNTS | {"note": "men"}, "", "unknown key 'note'"),
+            (
+                _with(("experimental", "untretaed"), {"events": 0, "total": 5}),
+                ", stratum 0, experimental",
+                "unknown arm 'untretaed'",
+            ),
+            (
+                _with(("observational", "control"), {"events": 9, "total": 30}),
+                ", stratum 0, observational",
+                "unknown arm 'control'",
+            ),
+            (
+                _with(("experimental", "treated", "evnts"), 7),
+                ", stratum 0, experimental.treated",
+                "unknown key 'evnts'",
+            ),
+            (
+                _with(("observational", "untreated", "rate"), "3/10"),
+                ", stratum 0, observational.untreated",
+                "unknown key 'rate'",
+            ),
+        ],
+        ids=[
+            "every-level-misspelled",
+            "unknown-top-level-key",
+            "misspelled-experimental-arm",
+            "unknown-observational-arm",
+            "misspelled-events",
+            "unknown-count-key",
+        ],
+    )
+    def test_unknown_count_block_keys_are_refused(self, payload, where, message, tmp_path, capsys):
+        """Each of these files used to be analyzed with a key silently dropped."""
+        path = write_json(tmp_path, payload)
+        assert main(["analyze", "--input", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}{where}: {message}\n"
+
+    @pytest.mark.parametrize(
         "value", [{"b": 1}, None, True, 7, ["men"]], ids=["object", "null", "bool", "number", "array"]
     )
     def test_label_value_must_be_a_string(self, value, tmp_path, capsys):
@@ -652,6 +710,16 @@ class TestInputBoundary:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: ") and "line 2" in captured.err and "'foo'" in captured.err
+
+    def test_csv_repeated_label_key_names_line_and_key(self, tmp_path, capsys):
+        """`a=1;a=2` used to be read as the labels {"a": "2"}, the same as a
+        later `a=2` row."""
+        path = tmp_path / "study.csv"
+        path.write_text(CSV_HEADER + "a=1;a=2,51,100,79,100,,,,\na=2,10,100,10,100,,,,\n")
+        assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}, line 2: label key 'a' is repeated\n"
 
     def test_csv_blank_label_fragments_are_skipped(self, tmp_path):
         path = tmp_path / "study.csv"

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -13,14 +14,10 @@ from harmbounds import (
     NullStratum,
     ObservationalParams,
     observables_from_joint,
+    sample_joint,
 )
-from harmbounds.lp_oracle import (
-    LinearProgram,
-    build_program,
-    sharp_interval,
-    solve,
-)
-from harmbounds.model import ATOM_KEYS
+from harmbounds.lp_oracle import _feasible_vertices, build_program, sharp_interval
+from harmbounds.model import ATOM_KEYS, degenerate_grid
 
 from conftest import joints
 
@@ -40,6 +37,18 @@ def demo_p0(demo):
 
 
 _P0 = ExperimentalParams(F(1, 3), F(2, 5))
+
+# sha256 over the vertex sets of the harm programs of degenerate_grid() and
+# sample_joint(0..199), each at both evidence levels, in that order.
+VERTEX_SETS_SHA256 = "6a18cee6eb3f164ab43affedc0520c12b646c0dbc08ff7a19b3bb2e811a77407"
+
+
+def _vertices(lp):
+    return _feasible_vertices(lp.num_atoms, lp.eq_constraints)
+
+
+def _values(lp):
+    return {sum(c * x for c, x in zip(lp.objective, vertex)) for vertex in _vertices(lp)}
 
 
 class TestBuildProgram:
@@ -63,66 +72,67 @@ class TestBuildProgram:
             build_program(demo_p0, "harm_given1")
 
     def test_conditional_numerator_ratio(self, demo_fused):
-        lp = build_program(demo_fused, "harm_given1")
-        numerator = solve(lp, "max")
-        assert numerator.value == 0
+        assert max(_values(build_program(demo_fused, "harm_given1"))) == 0
         assert sharp_interval(demo_fused, "harm_given1") == Interval(0, 0)
 
     def test_unknown_target(self, demo_fused):
         with pytest.raises(ValueError):
             build_program(demo_fused, "regret")
 
-    def test_inconsistent_dimensions_rejected(self):
-        with pytest.raises(ValueError):
-            LinearProgram(4, (F(1),) * 3, ())
-
 
 class TestSolve:
+    """Solving a program: its vertex set and the optima over it."""
+
     def test_fused_demo_point_identifies_harm(self, demo_fused):
-        lp = build_program(demo_fused, "harm")
-        assert solve(lp, "min").value == F(21, 100)
-        assert solve(lp, "max").value == F(21, 100)
+        assert _values(build_program(demo_fused, "harm")) == {F(21, 100)}
 
     def test_p0_only_demo_harm_range(self, demo_p0):
-        lp = build_program(demo_p0, "harm")
-        assert solve(lp, "min").value == 0
-        assert solve(lp, "max").value == F(21, 100)
+        values = _values(build_program(demo_p0, "harm"))
+        assert (min(values), max(values)) == (0, F(21, 100))
 
     def test_contradictory_rows_infeasible(self):
         p0 = ExperimentalParams(F(1, 10), F(1, 2))
         p1 = ObservationalParams(F(9, 10), F(9, 10), F(1, 2))
         lp = build_program(EvidenceSet(p0, p1), "harm")
-        result = solve(lp, "min")
-        assert result.status == "infeasible"
-        assert result.value is None
+        assert _vertices(lp) == ()
+        with pytest.raises(IncompatibleEvidence):
+            sharp_interval(EvidenceSet(p0, p1), "harm")
 
     def test_dependent_rows_rejected(self):
         row = ((F(0), F(1), F(0), F(1)), F(1, 2))
-        lp = LinearProgram(4, (F(0), F(1), F(0), F(0)), (row, row))
         with pytest.raises(ValueError, match="linearly dependent"):
-            solve(lp, "min")
+            _feasible_vertices(4, (row, row))
 
-    def test_rejects_bad_sense(self, demo_p0):
-        with pytest.raises(ValueError):
-            solve(build_program(demo_p0, "harm"), "argmin")
+    def test_witness_reproduces_evidence(self, demo):
+        """Every vertex is a joint that meets every row and reproduces the
+        evidence, and the sharp interval's ends are attained at vertices."""
+        p0_keys = [(y0, y1, 0) for y0 in (0, 1) for y1 in (0, 1)]  # a* = 0 throughout
+        for joint in [demo, *degenerate_grid()]:
+            p0, p1 = observables_from_joint(joint)
+            for evidence in (EvidenceSet(p0), EvidenceSet(p0, p1)):
+                lp = build_program(evidence, "harm")
+                vertices = _vertices(lp)
+                assert vertices
+                for vertex in vertices:
+                    assert all(x >= 0 for x in vertex)
+                    assert sum(vertex) == 1
+                    for coeffs, rhs in lp.eq_constraints:
+                        assert sum(c * x for c, x in zip(coeffs, vertex)) == rhs
+                    keys = p0_keys if evidence.p1 is None else ATOM_KEYS
+                    rebuilt = JointDistribution.from_mapping(dict(zip(keys, vertex)))
+                    rebuilt_p0, rebuilt_p1 = observables_from_joint(rebuilt)
+                    assert rebuilt_p0 == evidence.p0
+                    assert evidence.p1 in (None, rebuilt_p1)
+                interval = sharp_interval(evidence, "harm")
+                assert {interval.lower, interval.upper} <= _values(lp)
 
-    def test_witness_attains_value_and_satisfies_constraints(self, demo_fused):
-        lp = build_program(demo_fused, "benefit")
-        result = solve(lp, "max")
-        witness = result.witness
-        assert sum(witness) == 1
-        assert all(x >= 0 for x in witness)
-        for coeffs, rhs in lp.eq_constraints:
-            assert sum(c * x for c, x in zip(coeffs, witness)) == rhs
-        assert sum(c * x for c, x in zip(lp.objective, witness)) == result.value
-
-    def test_witness_reproduces_evidence(self, demo_fused):
-        lp = build_program(demo_fused, "harm")
-        witness = solve(lp, "min").witness
-        joint = JointDistribution(witness)
-        p0, p1 = observables_from_joint(joint)
-        assert p0 == demo_fused.p0
-        assert p1 == demo_fused.p1
+    def test_vertex_sets_are_unchanged(self):
+        digest = hashlib.sha256()
+        for joint in [*degenerate_grid(), *(sample_joint(seed) for seed in range(200))]:
+            p0, p1 = observables_from_joint(joint)
+            for evidence in (EvidenceSet(p0), EvidenceSet(p0, p1)):
+                digest.update(str(_vertices(build_program(evidence, "harm"))).encode())
+        assert digest.hexdigest() == VERTEX_SETS_SHA256
 
 
 class TestSharpInterval:
@@ -166,18 +176,17 @@ class TestEnumerationCompleteness:
     @pytest.mark.parametrize("target", ["harm", "benefit"])
     def test_agrees_with_scipy(self, seed, target):
         scipy_opt = pytest.importorskip("scipy.optimize")
-        from harmbounds import sample_joint
-
-        p0, p1 = observables_from_joint(sample_joint(seed))
-        lp = build_program(EvidenceSet(p0, p1), target)
+        evidence = EvidenceSet(*observables_from_joint(sample_joint(seed)))
+        lp = build_program(evidence, target)
+        interval = sharp_interval(evidence, target)
         a_eq = [[1.0] * lp.num_atoms] + [
             [float(c) for c in coeffs] for coeffs, _ in lp.eq_constraints
         ]
         b_eq = [1.0] + [float(rhs) for _, rhs in lp.eq_constraints]
         objective = [float(c) for c in lp.objective]
-        for sense, sign in (("min", 1.0), ("max", -1.0)):
+        for end, sign in ((interval.lower, 1.0), (interval.upper, -1.0)):
             res = scipy_opt.linprog(
                 [sign * c for c in objective], A_eq=a_eq, b_eq=b_eq, bounds=(0, 1)
             )
             assert res.status == 0
-            assert abs(sign * res.fun - float(solve(lp, sense).value)) < 1e-8
+            assert abs(sign * res.fun - float(end)) < 1e-8
