@@ -103,6 +103,16 @@ class TestSolve:
         with pytest.raises(ValueError, match="linearly dependent"):
             _feasible_vertices(4, (row, row))
 
+    def test_witness_attains_value_and_satisfies_constraints(self, demo_fused):
+        lp = build_program(demo_fused, "benefit")
+        upper = sharp_interval(demo_fused, "benefit").upper
+        witness = max(_vertices(lp), key=lambda v: sum(c * x for c, x in zip(lp.objective, v)))
+        assert sum(witness) == 1
+        assert all(x >= 0 for x in witness)
+        for coeffs, rhs in lp.eq_constraints:
+            assert sum(c * x for c, x in zip(coeffs, witness)) == rhs
+        assert sum(c * x for c, x in zip(lp.objective, witness)) == upper
+
     def test_witness_reproduces_evidence(self, demo):
         """Every vertex is a joint that meets every row and reproduces the
         evidence, and the sharp interval's ends are attained at vertices."""
