@@ -28,11 +28,8 @@ class Interval:
     upper: Fraction
 
     def __post_init__(self) -> None:
-        lower, upper = Fraction(self.lower), Fraction(self.upper)
-        if lower > upper:
-            raise ValueError(f"lower {lower} exceeds upper {upper}")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        if self.lower > self.upper:
+            raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
 
     def __contains__(self, value: object) -> bool:
         return self.lower <= value <= self.upper  # type: ignore[operator]

@@ -327,15 +327,16 @@ def _csv_cells(row: list[str], first: int, where: str) -> dict:
 
 
 def _csv_labels(cell: str, where: str) -> tuple[tuple[str, str], ...]:
-    """The `key=value` fragments of a labels cell; blank fragments are skipped
-    and a repeated key is refused."""
+    """The `key=value` fragments of a labels cell, with the spaces around each
+    key and value stripped; blank fragments are skipped and a repeated key
+    is refused."""
     labels: dict[str, str] = {}
     for part in cell.split(";"):
         if not part.strip():
             continue
         if "=" not in part:
             raise ParseError(f"{where}: label {part!r} is not of the form key=value")
-        key, value = part.split("=", 1)
+        key, value = (text.strip() for text in part.split("=", 1))
         if key in labels:
             raise ParseError(f"{where}: label key {key!r} is repeated")
         labels[key] = value
@@ -411,16 +412,8 @@ class StratumReport(NamedTuple):
         return fusion is not None and not fusion.compatible
 
 
-def _analyze_stratum(stratum: StratumInput) -> StratumReport:
-    evidence = stratum.evidence
-    if evidence.p1 is None:  # already experimental-only; the report keeps no second copy
-        return StratumReport(stratum, propositions.level(evidence), None)
-    fused = propositions.level(evidence) if evidence.fusion.compatible else None
-    return StratumReport(stratum, propositions.level(bounds_mod.EvidenceSet(evidence.p0)), fused)
-
-
 def analyze(study: StudyInput) -> tuple[StratumReport, ...]:
-    return tuple(_analyze_stratum(s) for s in study.strata)
+    return tuple(StratumReport(s, *propositions.evidence_levels(s.evidence)) for s in study.strata)
 
 
 # ---------------------------------------------------------------------------
@@ -570,11 +563,6 @@ def _demo_study() -> StudyInput:
         return parse_input(str(real_path))
 
 
-def command_example() -> tuple[StratumReport, ...]:
-    """Analyze the bundled demo study."""
-    return analyze(_demo_study())
-
-
 def command_verify(n: int, seed: int) -> tuple[int, list[propositions.PropositionReport]]:
     reports = propositions.run_harness(n, seed)
     failed = any(r.counterexamples for r in reports)
@@ -653,14 +641,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "analyze":
-            report = analyze(parse_input(args.input))
+        if args.command in ("analyze", "example"):
+            study = parse_input(args.input) if args.command == "analyze" else _demo_study()
+            report = analyze(study)
             _emit_report(report, args.format, sys.stdout)
             return EXIT_ALL_INCOMPATIBLE if all(sr.incompatible for sr in report) else EXIT_OK
-        if args.command == "example":
-            report = command_example()
-            _emit_report(report, args.format, sys.stdout)
-            return EXIT_OK
         if args.command == "verify":
             if args.samples < 1:
                 raise ParseError("--samples must be at least 1")

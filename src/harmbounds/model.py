@@ -24,15 +24,19 @@ ATOM_KEYS: tuple[AtomKey, ...] = tuple(
 )
 _ATOM_INDEX = {key: i for i, key in enumerate(ATOM_KEYS)}
 
-RationalLike = Union[Fraction, int, str, float]
+RationalLike = Union[Fraction, int]
 
 
 def as_prob(value: RationalLike) -> Fraction:
-    """Convert to an exact Fraction and require it to lie in [0, 1]."""
-    p = Fraction(value)
-    if not ZERO <= p <= ONE:
-        raise ValueError(f"probability outside [0, 1]: {p}")
-    return p
+    """An int or Fraction in [0, 1], as a Fraction; a Fraction is kept as
+    given, and anything else (float, str, bool) is a TypeError."""
+    if type(value) is int:
+        value = Fraction(value)
+    elif type(value) is not Fraction:
+        raise TypeError(f"expected an int or a Fraction, got {value!r}")
+    if not ZERO <= value <= ONE:
+        raise ValueError(f"probability outside [0, 1]: {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -44,9 +48,7 @@ class JointDistribution:
     def __post_init__(self) -> None:
         if len(self.atoms) != 8:
             raise ValueError(f"expected 8 atoms, got {len(self.atoms)}")
-        atoms = tuple(Fraction(p) for p in self.atoms)
-        if any(p < 0 for p in atoms):
-            raise ValueError("negative atom probability")
+        atoms = tuple(as_prob(p) for p in self.atoms)
         if sum(atoms) != 1:
             raise ValueError(f"atoms sum to {sum(atoms)}, expected 1")
         object.__setattr__(self, "atoms", atoms)
@@ -57,7 +59,7 @@ class JointDistribution:
         for key in mapping:
             if key not in _ATOM_INDEX:
                 raise ValueError(f"unknown atom key {key!r}")
-        return cls(tuple(Fraction(mapping.get(key, 0)) for key in ATOM_KEYS))
+        return cls(tuple(mapping.get(key, 0) for key in ATOM_KEYS))
 
     def __getitem__(self, key: AtomKey) -> Fraction:
         return self.atoms[_ATOM_INDEX[key]]

@@ -1,13 +1,13 @@
 """Harm verdicts for both analytic schools and mechanical theorem checks.
 
 `level` identifies one evidence level once and derives every reported
-bound and both verdicts from it; the CLI report renders these `Level`s and
-the harness checks the same ones.  The checkers falsify: each takes the
-experimental-only and the fused `Level` of a ground-truth joint and tests
-one of the concordance/degeneracy biconditionals, calling no bound
-function.  On correct bounds code every checker returns None for every
-valid joint; a non-None result is a counterexample and therefore an
-implementation bug.
+bound and both verdicts from it, and `evidence_levels` decides which levels
+a stratum has; the CLI report renders these `Level`s and the harness checks
+the same ones.  The checkers falsify: each takes the experimental-only and
+the fused `Level` of a ground-truth joint and tests one of the
+concordance/degeneracy biconditionals, calling no bound function.  On
+correct bounds code every checker returns None for every valid joint; a
+non-None result is a counterexample and therefore an implementation bug.
 """
 
 from __future__ import annotations
@@ -106,10 +106,20 @@ def level(evidence: bounds_mod.EvidenceSet) -> Level:
     return Level(evidence, bounds, verdicts)
 
 
+def evidence_levels(evidence: bounds_mod.EvidenceSet) -> tuple[Level, Optional[Level]]:
+    """The experimental-only and the fused level of a stratum's evidence; the
+    fused one is None without natural-choice data (the one level is then on
+    `evidence` itself) and when the two sources are incompatible."""
+    if evidence.p1 is None:
+        return level(evidence), None
+    fused = level(evidence) if evidence.fusion.compatible else None
+    return level(bounds_mod.EvidenceSet(evidence.p0)), fused
+
+
 def joint_levels(joint: JointDistribution) -> tuple[Level, Level]:
-    """The experimental-only and the fused level of a joint's evidence."""
-    p0, p1 = observables_from_joint(joint)
-    return level(bounds_mod.EvidenceSet(p0)), level(bounds_mod.EvidenceSet(p0, p1))
+    """The experimental-only and the fused level of a joint's evidence; a
+    joint's two sources are always compatible, so both are present."""
+    return evidence_levels(bounds_mod.EvidenceSet(*observables_from_joint(joint)))
 
 
 def check_prop1(p0_only: Level, fused: Level) -> Optional[str]:

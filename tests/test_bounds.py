@@ -40,6 +40,11 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval(F(1, 2), F(1, 4))
 
+    def test_keeps_the_ends_it_is_given(self):
+        lower, upper = F(1, 3), F(1, 2)
+        interval = Interval(lower, upper)
+        assert interval.lower is lower and interval.upper is upper
+
     def test_contains(self):
         assert F(1, 3) in Interval(0, 1)
         assert F(2) not in Interval(0, 1)

@@ -18,11 +18,11 @@ from harmbounds.cli import (
     MAX_RATIONAL_CHARS,
     _demo_study,
     analyze,
-    command_example,
     decimal_str,
     main,
     parse_input,
     parse_rational,
+    render_text,
     report_to_json,
 )
 
@@ -284,7 +284,7 @@ class TestAnalyze:
 
 class TestJsonReport:
     def test_rational_fields(self):
-        report = report_to_json(command_example())
+        report = report_to_json(analyze(_demo_study()))
         sr = report["strata"][0]
         assert sr["bounds"]["fused"]["harm"]["lower"]["rational"] == "21/100"
         assert sr["bounds"]["fused"]["ate"]["lower"]["rational"] == "-7/25"
@@ -292,7 +292,7 @@ class TestJsonReport:
         assert sr["bounds"]["fused"]["cate0"]["lower"]["rational"] == "7/10"
 
     def test_round_trip_preserves_rationals(self):
-        report = report_to_json(command_example())
+        report = report_to_json(analyze(_demo_study()))
         blob = json.loads(json.dumps(report))
 
         def walk(node):
@@ -315,7 +315,7 @@ class TestJsonReport:
     def test_text_and_json_agree_numerically(self, capsys):
         assert main(["example"]) == EXIT_OK
         text = capsys.readouterr().out
-        report = report_to_json(command_example())
+        report = report_to_json(analyze(_demo_study()))
         fused = report["strata"][0]["bounds"]["fused"]
         for key in ("harm", "benefit", "ate", "cate0", "cate1"):
             assert fused[key]["lower"]["decimal"] in text
@@ -331,6 +331,17 @@ class TestMain:
         assert first == second
         assert "[0.21, 0.21]" in first
         assert "Yes" in first and "No" in first
+
+    def test_color_bolds_the_fused_cells_with_a_positive_lower_bound(self):
+        """Only the fused column is ever bold, and only where harm or an ATE
+        is bounded away from 0; color adds the escapes and nothing else."""
+        report = analyze(_demo_study())
+        text = render_text(report, color=True)
+        assert text.replace("\x1b[1m", "").replace("\x1b[0m", "") == render_text(report)
+        bold = [line for line in text.splitlines() if "\x1b[" in line]
+        assert [line[4:26].rstrip() for line in bold] == ["P(harm)", "ATE | A*=0", "P(harm | A*=0)"]
+        for line in bold:
+            assert line.count("\x1b[1m") == 1 and line.endswith("\x1b[0m")
 
     def test_analyze_matches_example(self, capsys, tmp_path):
         assert main(["analyze", "--input", write_json(tmp_path, DEMO_COUNTS)]) == EXIT_OK
@@ -720,6 +731,15 @@ class TestInputBoundary:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}, line 2: label key 'a' is repeated\n"
+
+    def test_csv_label_spaces_are_stripped(self, tmp_path, capsys):
+        """`a=1; a=2` used to be read as the labels {"a": "1", " a": "2"}."""
+        path = tmp_path / "study.csv"
+        path.write_text(CSV_HEADER + "sex = men; site=A ,51,100,79,100,,,,\n")
+        assert parse_input(str(path)).strata[0].labels == (("sex", "men"), ("site", "A"))
+        path.write_text(CSV_HEADER + "a=1; a=2,51,100,79,100,,,,\n")
+        assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {path}, line 2: label key 'a' is repeated\n"
 
     def test_csv_blank_label_fragments_are_skipped(self, tmp_path):
         path = tmp_path / "study.csv"

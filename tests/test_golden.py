@@ -3,8 +3,9 @@
 The reports under tests/data/golden/ were written by the CLI before the
 bounds were rebuilt in closed form, and verify.txt before the harness and
 the report shared one record per evidence level; a refactor that changes
-any reported number, flag, rendering or harness count fails here.  Never
-regenerate them to make a change pass: a difference is a change in
+any reported number, flag, rendering or harness count fails here.  The CSV
+form of the demo study, example_study.csv, must give the demo's reports.
+Never regenerate them to make a change pass: a difference is a change in
 behavior and needs its own justification.
 """
 
@@ -77,8 +78,24 @@ def test_corpus_study_file_is_generated():
             "corpus_report.txt",
         ),
         (["verify", "--samples", "200", "--seed", "42"], "verify.txt"),
+        (
+            ["analyze", "--input", str(GOLDEN / "example_study.csv"), "--format", "json"],
+            "example.json",
+        ),
+        (
+            ["analyze", "--input", str(GOLDEN / "example_study.csv"), "--format", "text"],
+            "example.txt",
+        ),
     ],
-    ids=["example-text", "example-json", "corpus-json", "corpus-text", "verify"],
+    ids=[
+        "example-text",
+        "example-json",
+        "corpus-json",
+        "corpus-text",
+        "verify",
+        "csv-json",
+        "csv-text",
+    ],
 )
 def test_output_matches_golden(argv, golden, capsys, monkeypatch):
     monkeypatch.setenv("HARMBOUNDS_COLOR", "never")

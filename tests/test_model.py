@@ -1,18 +1,21 @@
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 from harmbounds import (
+    ExperimentalParams,
     JointDistribution,
+    ObservationalParams,
     compatibility_check,
     demo_joint,
     observables_from_joint,
     sample_joint,
     true_estimands,
 )
-from harmbounds.model import ATOM_KEYS, degenerate_grid
+from harmbounds.model import ATOM_KEYS, as_prob, degenerate_grid
 
 from conftest import joints
 
@@ -46,6 +49,27 @@ class TestJointDistribution:
     def test_from_mapping_rejects_bad_key(self):
         with pytest.raises(ValueError):
             JointDistribution.from_mapping({(0, 0, 2): 1})
+
+
+class TestExactInputs:
+    def test_fraction_is_kept_and_int_becomes_fraction(self):
+        half = F(1, 2)
+        assert as_prob(half) is half
+        assert type(as_prob(1)) is Fraction and as_prob(1) == 1
+
+    @pytest.mark.parametrize("value", [0.1, "1/2", True])
+    def test_inexact_or_textual_probability_is_refused(self, value):
+        """`ExperimentalParams(0.1, 0.3)` used to store 3602879701896397/36028797018963968."""
+        with pytest.raises(TypeError, match=re.escape(repr(value))):
+            ExperimentalParams(value, F(3, 10))
+        with pytest.raises(TypeError, match=re.escape(repr(value))):
+            ObservationalParams(F(1, 2), value, F(1, 2))
+
+    def test_inexact_atom_is_refused(self):
+        with pytest.raises(TypeError, match="0.5"):
+            JointDistribution.from_mapping({(0, 0, 0): 0.5, (1, 1, 1): F(1, 2)})
+        with pytest.raises(TypeError, match="0.125"):
+            JointDistribution(tuple(0.125 for _ in range(8)))
 
 
 class TestObservablesFromJoint:

@@ -8,6 +8,7 @@ from harmbounds import (
     ExperimentalParams,
     Interval,
     JointDistribution,
+    ObservationalParams,
     check_prop1,
     check_prop2,
     check_prop3,
@@ -22,7 +23,7 @@ from harmbounds import (
 from harmbounds import bounds as bounds_mod
 from harmbounds import propositions
 from harmbounds.model import degenerate_grid
-from harmbounds.propositions import joint_levels
+from harmbounds.propositions import evidence_levels, joint_levels
 
 from conftest import joints
 
@@ -175,3 +176,19 @@ class TestLevel:
         assert fused.bounds["harm"] == harm_bounds(EvidenceSet(p0, p1))
         assert [v.school for v in fused.verdicts] == ["interventionist", "counterfactual"]
         assert set(p0_only.bounds) == {"harm", "benefit", "ate", "cate0", "cate1"}
+
+    def test_evidence_levels(self, demo):
+        """The fused level is absent without natural-choice data and when the
+        sources are incompatible; the experimental-only level is always there."""
+        p0, p1 = observables_from_joint(demo)
+        p0_only = EvidenceSet(p0)
+        alone, fused = evidence_levels(p0_only)
+        assert alone.evidence is p0_only and fused is None
+        incompatible = EvidenceSet(
+            ExperimentalParams(F(1, 10), F(1, 2)), ObservationalParams(F(9, 10), F(9, 10), F(1, 2))
+        )
+        alone, fused = evidence_levels(incompatible)
+        assert alone.evidence == EvidenceSet(incompatible.p0) and fused is None
+        both = EvidenceSet(p0, p1)
+        alone, fused = evidence_levels(both)
+        assert alone == propositions.level(p0_only) and fused.evidence is both
