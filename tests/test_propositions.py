@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -85,7 +86,9 @@ class TestCheckers:
         assert harm_bounds(EvidenceSet(p0)) == Interval(0, F(1, 2))
 
     def test_marginal_degeneracy_point_identifies(self):
-        joint = degenerate_grid()[14]
+        joint = JointDistribution.from_mapping(
+            {(y0, 1, astar): F(1, 4) for y0 in (0, 1) for astar in (0, 1)}
+        )
         p0, _ = observables_from_joint(joint)
         assert p0.p_do1 == 1
         assert is_point_identified(harm_bounds(EvidenceSet(p0)))
@@ -158,6 +161,56 @@ class TestRunHarness:
         assert all(r.instances_checked == instances for r in reports)
         assert len(derived) == instances
         assert sorted(bounded) == [False] * instances + [True] * instances
+
+
+def _risk_class(risk):
+    return "0" if risk == 0 else "1" if risk == 1 else "interior"
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _sign_pattern(p0_only, fused):
+    """Which closed-form branch each identified number selects: for every
+    non-empty A* stratum and for the marginal, the class of each risk (0, 1
+    or interior) and the sign of the ATE.  The first element alone is the
+    stratum pattern."""
+    strata = tuple(
+        (s.astar, _risk_class(s.risk1), _risk_class(s.risk0), _sign(s.cate))
+        for s in fused.evidence.strata
+    )
+    (marginal,) = p0_only.evidence.strata
+    return strata, (_risk_class(marginal.risk1), _risk_class(marginal.risk0), _sign(marginal.cate))
+
+
+class TestLattice:
+    def test_lattice_of_8_reaches_every_sign_pattern_and_branch(self):
+        """The n = 8 lattice reaches all 143 stratum and 207 extended sign
+        patterns (pi1 in {0, 1}: 11 each; interior: 121 stratum and 185
+        extended), has no counterexample and fires every checker branch."""
+        patterns, hits = set(), Counter()
+        for joint in degenerate_grid(8):
+            p0_only, fused = levels = joint_levels(joint)
+            for checker in (check_prop1, check_prop2, check_prop3, check_prop4):
+                assert checker(*levels) is None, joint
+            patterns.add(_sign_pattern(p0_only, fused))
+            for name, lvl in (("p0", p0_only), ("fused", fused)):
+                hits["P1", name, lvl.verdicts[0].detected] += 1
+                hits["P2", name, is_point_identified(lvl.bounds["harm"])] += 1
+            harms = (p0_only.bounds["harm"], fused.bounds["harm"])
+            hits["P3 premise", any(is_point_identified(h) and h.lower > 0 for h in harms)] += 1
+            if len(fused.evidence.strata) < 2:
+                hits["P4", "vacuous"] += 1
+            else:
+                hits["P4", fused.bounds["harm"].lower > p0_only.bounds["harm"].lower] += 1
+        assert len({strata for strata, _marginal in patterns}) == 143
+        assert len(patterns) == 207
+        branches = [("P4", "vacuous"), ("P4", True), ("P4", False), ("P3 premise", True)]
+        branches += [
+            (p, name, fired) for p in ("P1", "P2") for name in ("p0", "fused") for fired in (True, False)
+        ]
+        assert all(hits[branch] for branch in branches), hits
 
 
 class TestLevel:
