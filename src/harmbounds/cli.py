@@ -256,14 +256,15 @@ def _labels_from_mapping(raw: object, where: str) -> tuple[tuple[str, str], ...]
 
 
 def _read_text(path: str) -> str:
-    """The text of a UTF-8 file; other bytes, or a failed read, end in a ParseError."""
+    """The text of a UTF-8 file without its byte order mark, if it has one;
+    other bytes, or a failed read, end in a ParseError."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc.strerror}") from None
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}, byte offset {exc.start}: not valid utf-8 ({exc.reason})") from None
 
@@ -573,24 +574,60 @@ def command_verify(n: int, seed: int) -> tuple[int, list[propositions.Propositio
     return (EXIT_COUNTEREXAMPLE if failed else EXIT_OK), reports
 
 
+_quote = json.encoder.encode_basestring_ascii  # the C helper behind json.dumps
+# The text of each scalar type a document may hold.  Each is a C callable,
+# so a scalar costs `_json_text` no Python call of its own.
+_SCALAR_TEXT = {
+    str: _quote,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _json_text(o, newline: str = "\n") -> str:
+    """The text of `json.dumps(o, indent=2)` for a document of dicts with
+    str keys, lists, str, int, bool and None; `newline` is the line break and
+    indentation of the line `o` starts on.
+
+    Any other type raises TypeError, as `json.dumps` does for a Fraction; a
+    float does too, since no report holds one.
+    """
+    if type(o) is dict:
+        if not o:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key, value in o.items():
+            text = _SCALAR_TEXT.get(type(value))
+            items.append(_quote(key) + ": " + (text(value) if text else _json_text(value, inner)))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if type(o) is list:
+        if not o:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_json_text(value, inner) for value in o]) + newline + "]"
+    text = _SCALAR_TEXT.get(type(o))
+    if text is None:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    return text(o)
+
+
 class _StratumEncoder(json.JSONEncoder):
     """Encodes a `report_to_json` document one stratum per chunk, so that
     `json.dump` makes one write per stratum instead of one per token.
 
-    The bytes are those of the plain encoder: each stratum is encoded alone
-    and its lines are shifted two levels in, which is safe because the
-    encoder escapes every newline inside a string.  The strata list is never
-    empty, because `StudyInput` refuses a study without strata.
+    The chunks join to `json.dumps(document, indent=2)`, whatever `indent`
+    the encoder is given.  The strata list is never empty, because
+    `StudyInput` refuses a study without strata.
     """
 
     def iterencode(self, o, _one_shot=False):
-        outer = "\n" + " " * self.indent
-        inner = outer + " " * self.indent
-        head = "{" + outer + '"strata": [' + inner
+        head = '{\n  "strata": [\n    '
         for entry in o["strata"]:
-            yield head + "".join(super().iterencode(entry, _one_shot=True)).replace("\n", inner)
-            head = "," + inner
-        yield outer + "]\n}"
+            yield head + _json_text(entry, "\n    ")
+            head = ",\n    "
+        yield "\n  ]\n}"
 
 
 def _emit_report(report: tuple[StratumReport, ...], fmt: str, stream) -> None:
@@ -660,12 +697,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                     f"proposition {rep.proposition}: {rep.instances_checked} instances, {outcome}"
                 )
             if status != EXIT_OK:
-                json.dump(
-                    [_counterexample_json(r) for r in reports if r.counterexamples],
-                    sys.stdout,
-                    indent=2,
+                sys.stdout.write(
+                    _json_text([_counterexample_json(r) for r in reports if r.counterexamples])
+                    + "\n"
                 )
-                print()
             sys.stdout.flush()
             return status
         raise AssertionError(f"unhandled command {args.command!r}")

@@ -12,6 +12,7 @@ non-None result is a counterexample and therefore an implementation bug.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -199,18 +200,19 @@ _CHECKERS: dict[str, Callable[[Level, Level], Optional[str]]] = {
 def run_harness(n: int, seed: int) -> list[PropositionReport]:
     """Run all checkers on n sampled joints plus the constructed instances.
 
-    Deterministic in (n, seed).  Counterexamples carry the offending joint so
-    a reported violation can always be re-verified.
+    Deterministic in (n, seed).  Each joint is sampled only when its turn
+    comes, so memory does not grow with n.  Counterexamples carry the
+    offending joint so a reported violation can always be re-verified.
     """
     if n < 1:
         raise ValueError(f"need at least one sampled instance, got {n}")
-    instances = [demo_joint()] + degenerate_grid() + [
-        sample_joint(seed + i) for i in range(n)
-    ]
+    instances = itertools.chain(
+        [demo_joint()], degenerate_grid(), (sample_joint(seed + i) for i in range(n))
+    )
     counterexamples: dict[str, list[tuple[JointDistribution, str]]] = {
         name: [] for name in PROPOSITIONS
     }
-    for joint in instances:
+    for checked, joint in enumerate(instances, start=1):
         levels = joint_levels(joint)
         for name in PROPOSITIONS:
             details = _CHECKERS[name](*levels)
@@ -219,7 +221,7 @@ def run_harness(n: int, seed: int) -> list[PropositionReport]:
     return [
         PropositionReport(
             proposition=name,
-            instances_checked=len(instances),
+            instances_checked=checked,
             counterexamples=tuple(counterexamples[name]),
         )
         for name in PROPOSITIONS

@@ -1,3 +1,4 @@
+import codecs
 import io
 import json
 import os
@@ -16,7 +17,10 @@ from harmbounds.cli import (
     EXIT_OK,
     EXIT_USAGE,
     MAX_RATIONAL_CHARS,
+    _StratumEncoder,
+    _counterexample_json,
     _demo_study,
+    _json_text,
     analyze,
     decimal_str,
     main,
@@ -27,7 +31,8 @@ from harmbounds.cli import (
 )
 
 F = Fraction
-CORPUS = Path(__file__).parent / "data" / "golden" / "corpus_study.json"
+GOLDEN = Path(__file__).parent / "data" / "golden"
+CORPUS = GOLDEN / "corpus_study.json"
 CSV_HEADER = (
     "labels,exp_t_events,exp_t_total,exp_c_events,exp_c_total,"
     "obs_t_events,obs_t_total,obs_c_events,obs_c_total\n"
@@ -320,6 +325,37 @@ class TestJsonReport:
         for key in ("harm", "benefit", "ate", "cate0", "cate1"):
             assert fused[key]["lower"]["decimal"] in text
 
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"labels": {}, "fusion": {"compatible": True, "violations": [], "cross_risks": {}}},
+            [True, False, 1, 0, {"flag": True, "count": 1}, {"flag": False, "count": 0}],
+            {"ints": [-7, 10**99, -(10**99), 0], "none": None, "empty": [None, [], {}]},
+            {
+                'a "quoted" \\ key': 'line\nbreak\ttab\r\x00\x1f\x7f "quote" \\',
+                "caf\u00e9 \u4e2d": ["\u00e9\u4e2d\U0001f600", "\u2028\u2029", "\ud800"],
+                "\U0001f600\n": "astral",
+            },
+        ],
+        ids=["unlabeled-stratum", "bools-and-ints", "ints-and-none", "escapes"],
+    )
+    def test_emitter_is_the_standard_indented_encoding(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+        document = {"strata": [value, value]}
+        written = "".join(_StratumEncoder(indent=2).iterencode(document))
+        assert written == json.dumps(document, indent=2)
+
+    @pytest.mark.parametrize("stray", [F(1, 3), 0.5], ids=["fraction", "float"])
+    def test_emitter_refuses_other_types(self, stray):
+        """A number that escaped `_rat_json` is an error, never text."""
+        document = {"strata": [{"labels": {}, "bounds": {"lower": stray}}]}
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _json_text(document)
+        stream = io.StringIO()
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            json.dump(document, stream, indent=2, cls=_StratumEncoder)
+        assert stream.getvalue() == ""
+
 
 class TestMain:
     def test_example_is_deterministic(self, capsys, monkeypatch):
@@ -422,14 +458,7 @@ class TestMain:
     def test_verify_prints_reproducible_counterexamples(self, capsys, monkeypatch):
         """A broken bound makes `verify` exit 3 and print, after the
         proposition lines, a JSON list whose atoms rebuild each offending joint."""
-        harm_bounds = bounds_mod.harm_bounds
-
-        def broken_harm_bounds(evidence):
-            if evidence.p1 is not None:
-                return bounds_mod.Interval(0, 1)  # ignores the natural-choice data
-            return harm_bounds(evidence)
-
-        monkeypatch.setattr(bounds_mod, "harm_bounds", broken_harm_bounds)
+        _break_fused_harm_bounds(monkeypatch)
         expected = {r.proposition: r for r in propositions.run_harness(10, 7) if r.counterexamples}
         assert expected
         assert main(["verify", "--samples", "10", "--seed", "7"]) == EXIT_COUNTEREXAMPLE
@@ -450,6 +479,33 @@ class TestMain:
             report = expected[entry["proposition"]]
             assert rebuilt == [joint for joint, _ in report.counterexamples]
             assert entry["instances_checked"] == report.instances_checked
+
+    def test_verify_writes_the_counterexamples_at_once(self, monkeypatch):
+        """The counterexample list is the standard indented encoding, written
+        in one write instead of one per token."""
+        _break_fused_harm_bounds(monkeypatch)
+        reports = propositions.run_harness(10, 7)
+        expected = [_counterexample_json(r) for r in reports if r.counterexamples]
+        stream = _CountingStream()
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(["verify", "--samples", "10", "--seed", "7"]) == EXIT_COUNTEREXAMPLE
+        head, _, tail = stream.getvalue().partition("[")
+        assert "[" + tail == json.dumps(expected, indent=2) + "\n"
+        # `print` writes each proposition line and its newline apart
+        assert len(head.splitlines()) == len(reports) and stream.writes == 2 * len(reports) + 1
+
+
+def _break_fused_harm_bounds(monkeypatch):
+    """Make the fused harm bound ignore the natural-choice data, so that
+    `verify` finds counterexamples."""
+    harm_bounds = bounds_mod.harm_bounds
+
+    def broken_harm_bounds(evidence):
+        if evidence.p1 is not None:
+            return bounds_mod.Interval(0, 1)
+        return harm_bounds(evidence)
+
+    monkeypatch.setattr(bounds_mod, "harm_bounds", broken_harm_bounds)
 
 
 def _with(path, value):
@@ -694,8 +750,9 @@ class TestInputBoundary:
         [
             ("study.json", b'{"strata": [{"labels": {"sex": "m\xffen"}}]}'),
             ("study.csv", CSV_HEADER.encode() + b"sex=m\xffen,51,100,79,100,,,,\n"),
+            ("study.csv", codecs.BOM_UTF8 + CSV_HEADER.encode() + b"sex=m\xffen,51,100,79,100,,,,\n"),
         ],
-        ids=["json", "csv"],
+        ids=["json", "csv", "csv-after-byte-order-mark"],
     )
     def test_not_utf8_names_file_and_byte_offset(self, name, text, tmp_path, capsys):
         path = tmp_path / name
@@ -706,6 +763,21 @@ class TestInputBoundary:
         assert captured.err == (
             f"error: {path}, byte offset {text.index(0xFF)}: not valid utf-8 (invalid start byte)\n"
         )
+
+    @pytest.mark.parametrize(
+        "name,source",
+        [
+            ("study.json", Path(bounds_mod.__file__).parent / "data" / "example_study.json"),
+            ("study.csv", GOLDEN / "example_study.csv"),
+        ],
+        ids=["json", "csv"],
+    )
+    def test_byte_order_mark_is_dropped(self, name, source, tmp_path, capsys):
+        """Excel's "CSV UTF-8" and some editors start a file with a byte order mark."""
+        path = tmp_path / name
+        path.write_bytes(codecs.BOM_UTF8 + source.read_bytes())
+        assert main(["analyze", "--input", str(path), "--format", "json"]) == EXIT_OK
+        assert capsys.readouterr().out == (GOLDEN / "example.json").read_text(encoding="utf-8")
 
     def test_csv_counts_are_capped(self, tmp_path, capsys):
         path = tmp_path / "study.csv"

@@ -162,6 +162,29 @@ class TestRunHarness:
         assert len(derived) == instances
         assert sorted(bounded) == [False] * instances + [True] * instances
 
+    def test_joints_are_sampled_only_when_checked(self, monkeypatch):
+        """The harness holds one sampled joint at a time, so its memory does
+        not grow with the number of samples: joint i is checked before the
+        joint of seed + i + 1 is sampled."""
+        sampled, seen = [], []
+        sample, levels = propositions.sample_joint, propositions.joint_levels
+
+        def counted_sample(seed):
+            sampled.append(seed)
+            return sample(seed)
+
+        def counted_levels(joint):
+            seen.append(len(sampled))
+            return levels(joint)
+
+        monkeypatch.setattr(propositions, "sample_joint", counted_sample)
+        monkeypatch.setattr(propositions, "joint_levels", counted_levels)
+        reports = run_harness(3, seed=5)
+        constructed = 1 + len(degenerate_grid())
+        assert sampled == [5, 6, 7]
+        assert seen == [0] * constructed + [1, 2, 3]
+        assert all(r.instances_checked == constructed + 3 for r in reports)
+
 
 def _risk_class(risk):
     return "0" if risk == 0 else "1" if risk == 1 else "interior"
