@@ -12,7 +12,7 @@ consistent with the evidence), which no runtime module imports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable
 
@@ -20,16 +20,15 @@ from .identification import EvidenceSet
 from .model import ONE, ZERO
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(namedtuple("Interval", "lower upper")):
     """A lower/upper bound pair; sharpness is a contract, not a field."""
 
-    lower: Fraction
-    upper: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.lower > self.upper:
-            raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
+    def __new__(cls, lower: Fraction, upper: Fraction) -> "Interval":
+        if lower > upper:
+            raise ValueError(f"lower {lower} exceeds upper {upper}")
+        return super().__new__(cls, lower, upper)
 
     def __contains__(self, value: object) -> bool:
         return self.lower <= value <= self.upper  # type: ignore[operator]

@@ -19,10 +19,9 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Context
 from fractions import Fraction
-from importlib import resources
 from typing import NamedTuple, Optional
 
 from . import bounds as bounds_mod
@@ -123,8 +122,7 @@ def _verdict_json(verdict: propositions.Verdict) -> dict:
 # ---------------------------------------------------------------------------
 # input model
 
-@dataclass(frozen=True)
-class StratumInput:
+class StratumInput(NamedTuple):
     labels: tuple[tuple[str, str], ...]
     evidence: bounds_mod.EvidenceSet
 
@@ -133,18 +131,21 @@ class StratumInput:
         return ";".join(f"{k}={v}" for k, v in self.labels) or "(unlabeled)"
 
 
-@dataclass(frozen=True)
-class StudyInput:
-    strata: tuple[StratumInput, ...]
+class StudyInput(namedtuple("StudyInput", "strata")):
+    """The strata of a study; two strata may not carry the same set of labels."""
 
-    def __post_init__(self) -> None:
-        if not self.strata:
+    __slots__ = ()
+
+    def __new__(cls, strata: tuple[StratumInput, ...]) -> "StudyInput":
+        if not strata:
             raise ValidationError("study contains no strata")
-        names = set()
-        for stratum in self.strata:
-            if stratum.name in names:
+        seen = set()
+        for stratum in strata:
+            labels = frozenset(stratum.labels)
+            if labels in seen:
                 raise ValidationError(f"duplicate stratum label {stratum.name!r}")
-            names.add(stratum.name)
+            seen.add(labels)
+        return super().__new__(cls, strata)
 
 
 def _cell(block: object, arm: str, where: str) -> tuple[int, int]:
@@ -563,6 +564,8 @@ def render_text(report: tuple[StratumReport, ...], color: bool = False) -> str:
 # commands
 
 def _demo_study() -> StudyInput:
+    from importlib import resources  # only `example` needs it; keep it off other calls' start-up
+
     path = resources.files("harmbounds").joinpath("data/example_study.json")
     with resources.as_file(path) as real_path:
         return parse_input(str(real_path))

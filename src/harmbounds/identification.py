@@ -11,7 +11,7 @@ only stratum is the whole population, with the experimental risks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional
 
@@ -19,8 +19,7 @@ from .errors import IncompatibleEvidence, MissingObservational, NullStratum
 from .model import ExperimentalParams, ObservationalParams, ONE
 
 
-@dataclass(frozen=True)
-class FusionReport:
+class FusionReport(NamedTuple):
     """Outcome of checking that P0 and P1 can coexist under one joint."""
 
     compatible: bool
@@ -84,21 +83,18 @@ def compatibility_check(
     )
 
 
-@dataclass(frozen=True)
-class EvidenceSet:
+class EvidenceSet(namedtuple("EvidenceSet", "p0 p1 fusion strata")):
     """Experimental parameters, optionally fused with natural-choice data.
 
     Identified once, when built: `fusion` is the compatibility report (None
     without natural-choice data), and every bound and verdict reads `strata`.
     """
 
-    p0: ExperimentalParams
-    p1: Optional[ObservationalParams] = None
-    fusion: Optional[FusionReport] = field(init=False, compare=False, repr=False)
-    _strata: Optional[tuple[Stratum, ...]] = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        p0, p1 = self.p0, self.p1
+    def __new__(
+        cls, p0: ExperimentalParams, p1: Optional[ObservationalParams] = None
+    ) -> "EvidenceSet":
         fusion = strata = None
         if p1 is None:
             strata = (Stratum(None, ONE, p0.p_do1, p0.p_do0),)
@@ -111,15 +107,18 @@ class EvidenceSet:
                     Stratum(1, p1.pi1, p1.q1, cross.get(1)),
                 )
                 strata = tuple(s for s in both if s.mass > 0)
-        object.__setattr__(self, "fusion", fusion)
-        object.__setattr__(self, "_strata", strata)
+        return super().__new__(cls, p0, p1, fusion, strata)
+
+    def __getnewargs__(self) -> tuple:
+        return self.p0, self.p1
 
     @property
     def strata(self) -> tuple[Stratum, ...]:
         """The non-empty strata in A* order; IncompatibleEvidence if no joint fits."""
-        if self._strata is None:
+        strata = self[3]  # the field behind this property
+        if strata is None:
             raise IncompatibleEvidence("; ".join(self.fusion.violations))
-        return self._strata
+        return strata
 
     def stratum(self, astar: int) -> Stratum:
         """The A*=astar stratum; it needs natural-choice data and positive mass."""

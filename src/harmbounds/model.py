@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -40,19 +40,18 @@ def as_prob(value: RationalLike) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(namedtuple("JointDistribution", "atoms")):
     """Joint law of (Y^{a=0}, Y^{a=1}, A*): 8 exact atoms in ATOM_KEYS order."""
 
-    atoms: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.atoms) != 8:
-            raise ValueError(f"expected 8 atoms, got {len(self.atoms)}")
-        atoms = tuple(as_prob(p) for p in self.atoms)
+    def __new__(cls, atoms: tuple[Fraction, ...]) -> "JointDistribution":
+        if len(atoms) != 8:
+            raise ValueError(f"expected 8 atoms, got {len(atoms)}")
+        atoms = tuple(as_prob(p) for p in atoms)
         if sum(atoms) != 1:
             raise ValueError(f"atoms sum to {sum(atoms)}, expected 1")
-        object.__setattr__(self, "atoms", atoms)
+        return super().__new__(cls, atoms)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[AtomKey, RationalLike]) -> "JointDistribution":
@@ -84,48 +83,44 @@ class JointDistribution:
         return total
 
 
-@dataclass(frozen=True)
-class ExperimentalParams:
-    """Interventional death risks identified by the randomized experiment."""
+class ExperimentalParams(namedtuple("ExperimentalParams", "p_do1 p_do0")):
+    """Interventional death risks identified by the randomized experiment:
+    p_do1 = P(Y=1 | do(A=1)) and p_do0 = P(Y=1 | do(A=0))."""
 
-    p_do1: Fraction  # P(Y=1 | do(A=1))
-    p_do0: Fraction  # P(Y=1 | do(A=0))
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p_do1", as_prob(self.p_do1))
-        object.__setattr__(self, "p_do0", as_prob(self.p_do0))
+    def __new__(cls, p_do1: RationalLike, p_do0: RationalLike) -> "ExperimentalParams":
+        return super().__new__(cls, as_prob(p_do1), as_prob(p_do0))
 
 
-@dataclass(frozen=True)
-class ObservationalParams:
-    """Natural-choice prevalence and arm-specific observational risks.
+class ObservationalParams(namedtuple("ObservationalParams", "pi1 q1 q0")):
+    """Natural-choice prevalence pi1 = P(A*=1) and arm-specific observational
+    risks q1 = P(Y=1 | A*=1) and q0 = P(Y=1 | A*=0).
 
     q1 / q0 are None exactly when the corresponding stratum is empty
     (conditioning on a null event is undefined, never defaulted).
     """
 
-    pi1: Fraction  # P(A*=1)
-    q1: Optional[Fraction]  # P(Y=1 | A*=1), None iff pi1 == 0
-    q0: Optional[Fraction]  # P(Y=1 | A*=0), None iff pi1 == 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pi1", as_prob(self.pi1))
-        q1 = None if self.q1 is None else as_prob(self.q1)
-        q0 = None if self.q0 is None else as_prob(self.q0)
-        if self.pi1 == 0 and q1 is not None:
+    def __new__(
+        cls, pi1: RationalLike, q1: Optional[RationalLike], q0: Optional[RationalLike]
+    ) -> "ObservationalParams":
+        pi1 = as_prob(pi1)
+        q1 = None if q1 is None else as_prob(q1)
+        q0 = None if q0 is None else as_prob(q0)
+        if pi1 == 0 and q1 is not None:
             raise ValueError("q1 must be undefined when P(A*=1) = 0")
-        if self.pi1 > 0 and q1 is None:
+        if pi1 > 0 and q1 is None:
             raise ValueError("q1 required when P(A*=1) > 0")
-        if self.pi1 == 1 and q0 is not None:
+        if pi1 == 1 and q0 is not None:
             raise ValueError("q0 must be undefined when P(A*=0) = 0")
-        if self.pi1 < 1 and q0 is None:
+        if pi1 < 1 and q0 is None:
             raise ValueError("q0 required when P(A*=0) > 0")
-        object.__setattr__(self, "q1", q1)
-        object.__setattr__(self, "q0", q0)
+        return super().__new__(cls, pi1, q1, q0)
 
 
-@dataclass(frozen=True)
-class Estimands:
+class Estimands(NamedTuple):
     """True causal estimands evaluated on a known joint.
 
     Conditional entries are None when the conditioning stratum is empty.

@@ -13,7 +13,6 @@ non-None result is a counterexample and therefore an implementation bug.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -29,8 +28,7 @@ from .model import (
 PROPOSITIONS = ("P1", "P2", "P3", "P4")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Harm detection outcome of one analytic school."""
 
     school: str  # "interventionist" | "counterfactual"
@@ -39,8 +37,7 @@ class Verdict:
     value: Optional[Fraction] = None  # the strictly positive sharp lower bound
 
 
-@dataclass(frozen=True)
-class PropositionReport:
+class PropositionReport(NamedTuple):
     proposition: str
     instances_checked: int
     counterexamples: tuple[tuple[JointDistribution, str], ...]

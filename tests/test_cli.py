@@ -2,6 +2,7 @@ import codecs
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from harmbounds import JointDistribution, ParseError, ValidationError, identification, propositions
+from harmbounds import (
+    JointDistribution,
+    ParseError,
+    ValidationError,
+    demo_joint,
+    identification,
+    observables_from_joint,
+    propositions,
+    true_estimands,
+)
 from harmbounds import bounds as bounds_mod
 from harmbounds.cli import (
     EXIT_ALL_INCOMPATIBLE,
@@ -203,6 +213,16 @@ class TestParseInput:
         payload = {"strata": [DEMO_COUNTS["strata"][0], DEMO_COUNTS["strata"][0]]}
         with pytest.raises(ValidationError, match="duplicate stratum label 'sex=men'"):
             parse_input(write_json(tmp_path, payload))
+
+    def test_labels_that_join_to_the_same_name_are_two_strata(self, tmp_path):
+        payload = {
+            "strata": [
+                {**DEMO_STRATUM, "labels": {"a": "1;b=2"}},
+                {**DEMO_STRATUM, "labels": {"a": "1", "b": "2"}},
+            ]
+        }
+        study = parse_input(write_json(tmp_path, payload))
+        assert [s.labels for s in study.strata] == [(("a", "1;b=2"),), (("a", "1"), ("b", "2"))]
 
     def test_csv_round(self, tmp_path):
         path = tmp_path / "study.csv"
@@ -928,8 +948,32 @@ class TestInputBoundary:
                 CSV_HEADER + "sex=men,51,100,79,100,,,,\n,1,2,1,2,,,,\n,1,3,1,3,,,,\n",
                 "duplicate stratum label '(unlabeled)'",
             ),
+            (
+                "study.json",
+                json.dumps(
+                    {
+                        "strata": [
+                            {**DEMO_STRATUM, "labels": {"a": "1", "b": "2"}},
+                            {**DEMO_STRATUM, "labels": {"b": "2", "a": "1"}},
+                        ]
+                    }
+                ),
+                "duplicate stratum label 'b=2;a=1'",
+            ),
+            (
+                "study.csv",
+                CSV_HEADER + "a=1;b=2,51,100,79,100,,,,\nb=2;a=1,1,2,1,2,,,,\n",
+                "duplicate stratum label 'b=2;a=1'",
+            ),
         ],
-        ids=["no-strata-json", "header-only-csv", "duplicate-json", "duplicate-csv"],
+        ids=[
+            "no-strata-json",
+            "header-only-csv",
+            "duplicate-json",
+            "duplicate-csv",
+            "key-order-json",
+            "key-order-csv",
+        ],
     )
     def test_study_errors_name_the_file(self, name, text, message, tmp_path, capsys):
         path = tmp_path / name
@@ -1047,18 +1091,75 @@ def test_json_report_is_written_one_stratum_at_a_time(argv, load, monkeypatch):
     assert stream.getvalue() == json.dumps(report_to_json(analyze(load())), indent=2) + "\n"
 
 
-def test_example_never_imports_the_lp_oracle():
-    """The LP oracle is a test reference; the CLI's runtime path must not load it."""
+def _modules_added_by(argv):
+    """The modules that importing `harmbounds.cli` and running `main(argv)`
+    add to a fresh interpreter."""
     code = (
         "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
         "from harmbounds.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['example']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('harmbounds')))\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert "harmbounds.cli" in result.stdout
-    assert "harmbounds.lp_oracle" not in result.stdout
+    added = set(result.stdout.split())
+    assert "harmbounds.cli" in added
+    return added
+
+
+# Start-up is most of a CLI call; `dataclasses` alone pulls in `inspect`,
+# `ast`, `dis` and `tokenize`.
+_NEVER_IMPORTED = {"dataclasses", "harmbounds.lp_oracle"}
+
+
+def test_example_never_imports_the_lp_oracle():
+    """The LP oracle is a test reference; the CLI's runtime path must not load it."""
+    assert not _modules_added_by(["example"]) & _NEVER_IMPORTED
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--input", str(CORPUS)], ["verify", "--samples", "3"]],
+    ids=["analyze", "verify"],
+)
+def test_analyze_and_verify_import_only_what_they_use(argv):
+    """`importlib.resources` (which imports `inspect` from Python 3.12 on)
+    finds the bundled demo study, which only `example` reads."""
+    added = _modules_added_by(argv)
+    assert not added & (_NEVER_IMPORTED | {"importlib.resources", "inspect"})
+
+
+def _records():
+    """One built instance of each immutable record type."""
+    joint = demo_joint()
+    p0, p1 = observables_from_joint(joint)
+    evidence = identification.EvidenceSet(p0, p1)
+    study = _demo_study()
+    return [
+        joint,
+        p0,
+        p1,
+        true_estimands(joint),
+        evidence.fusion,
+        evidence,
+        bounds_mod.Interval(F(0), F(1, 2)),
+        propositions.interventionist_verdict(evidence),
+        propositions.PropositionReport("P1", 1, ()),
+        study.strata[0],
+        study,
+    ]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda record: type(record).__name__)
+def test_records_are_immutable(record):
+    """No field can be reassigned and no attribute added, and a pickle round
+    trip rebuilds an equal record through its checking constructor; for an
+    `EvidenceSet`, that is a second one identified from the same (p0, p1)."""
+    for attr in (*record._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, None)
+    assert pickle.loads(pickle.dumps(record)) == record

@@ -23,7 +23,6 @@ from harmbounds.cli import (
     EXIT_ALL_INCOMPATIBLE,
     EXIT_OK,
     EXIT_USAGE,
-    StratumInput,
     analyze,
     main,
     parse_input,
@@ -192,7 +191,8 @@ labeled_studies = st.lists(
     ),
     min_size=1,
     max_size=5,
-    unique_by=lambda stratum: StratumInput(tuple(stratum["labels"].items()), None).name,
+    # a study refuses two strata with the same label set, in whatever key order
+    unique_by=lambda stratum: frozenset(stratum["labels"].items()),
 ).map(lambda strata: {"strata": strata})
 
 
