@@ -86,11 +86,12 @@ def decimal_str(x: Fraction) -> tuple[str, bool]:
     is when its denominator divides 10^12; everything else is rounded to 6
     significant digits.
     """
-    if 10**12 % x.denominator == 0:
-        whole, frac = divmod(abs(x.numerator) * 10**12 // x.denominator, 10**12)
-        places = str(frac).rjust(12, "0").rstrip("0")
-        return ("-" if x < 0 else "") + str(whole) + ("." + places if places else ""), True
-    return str(_SIX_DIGITS.divide(x.numerator, x.denominator)), False
+    numerator, denominator = x.numerator, x.denominator
+    if 10**12 % denominator == 0:
+        whole, frac = divmod(abs(numerator) * 10**12 // denominator, 10**12)
+        places = ("%012d" % frac).rstrip("0")
+        return ("-" if numerator < 0 else "") + str(whole) + ("." + places if places else ""), True
+    return str(_SIX_DIGITS.divide(numerator, denominator)), False
 
 
 def _rat_json(x: Optional[Fraction]) -> Optional[dict]:
@@ -122,13 +123,21 @@ def _verdict_json(verdict: propositions.Verdict) -> dict:
 # ---------------------------------------------------------------------------
 # input model
 
+_NAME_ESCAPES = str.maketrans({"\\": "\\\\", ";": "\\;", "=": "\\="})
+
+
 class StratumInput(NamedTuple):
     labels: tuple[tuple[str, str], ...]
     evidence: bounds_mod.EvidenceSet
 
     @property
     def name(self) -> str:
-        return ";".join(f"{k}={v}" for k, v in self.labels) or "(unlabeled)"
+        """The labels as `key=value` pairs joined by `;`, with each `\\`, `;`
+        and `=` inside a key or value escaped by a backslash, so that two
+        label sets never share a name."""
+        return ";".join(
+            f"{k.translate(_NAME_ESCAPES)}={v.translate(_NAME_ESCAPES)}" for k, v in self.labels
+        ) or "(unlabeled)"
 
 
 class StudyInput(namedtuple("StudyInput", "strata")):
@@ -564,11 +573,10 @@ def render_text(report: tuple[StratumReport, ...], color: bool = False) -> str:
 # commands
 
 def _demo_study() -> StudyInput:
-    from importlib import resources  # only `example` needs it; keep it off other calls' start-up
-
-    path = resources.files("harmbounds").joinpath("data/example_study.json")
-    with resources.as_file(path) as real_path:
-        return parse_input(str(real_path))
+    """The bundled demo study, read from the package directory; `os.path`
+    finds it without `importlib.resources`, which would add 30 to 40 modules
+    to the start-up of `example`."""
+    return parse_input(os.path.join(os.path.dirname(__file__), "data", "example_study.json"))
 
 
 def command_verify(n: int, seed: int) -> tuple[int, list[propositions.PropositionReport]]:
@@ -578,64 +586,111 @@ def command_verify(n: int, seed: int) -> tuple[int, list[propositions.Propositio
 
 
 _quote = json.encoder.encode_basestring_ascii  # the C helper behind json.dumps
-# The text of each scalar type a document may hold.  Each is a C callable,
-# so a scalar costs `_json_text` no Python call of its own.
-_SCALAR_TEXT = {
-    str: _quote,
-    int: int.__repr__,
-    bool: {False: "false", True: "true"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
+_BOOL = ("false", "true")
+
+
+def _lines(depth: int, members: list[str], brackets: str = "{}") -> str:
+    """The `json.dumps(..., indent=2)` text of an object (or, with brackets
+    "[]", an array) whose brackets sit `depth` spaces in, holding the texts
+    `members`, one to a line."""
+    if not members:
+        return brackets
+    pad = "\n" + " " * (depth + 2)
+    return brackets[0] + pad + ("," + pad).join(members) + "\n" + " " * depth + brackets[1]
+
+
+# The `report_to_json` objects of fixed shape, as `%` templates.  A rational's
+# fields are ASCII digits, signs, dots and slashes, so they need no escaping.
+_RATIONAL_TEXT = {
+    depth: _lines(depth, ['"rational": "%s"', '"decimal": "%s"', '"exact": %s']) for depth in (8, 10, 12)
 }
+_INTERVAL = _lines(10, ['"lower": ' + _RATIONAL_TEXT[12], '"upper": ' + _RATIONAL_TEXT[12], '"point": %s'])
+_VERDICT = _lines(10, ['"school": %s', '"detected": %s', '"witness": %s', '"value": %s'])
+_LEVELS = _lines(6, ['"p0_only": %s', '"fused": %s'])
+_P0 = _lines(6, ['"p_do1": %s', '"p_do0": %s'])
+_P1 = _lines(6, ['"pi1": %s', '"q1": %s', '"q0": %s'])
+_FUSION = _lines(6, ['"compatible": %s', '"violations": %s', '"cross_risks": %s'])
+_STRATUM = _lines(
+    4, ['"%s": %%s' % key for key in ("labels", "p0", "p1", "fusion", "bounds", "verdicts", "incompatible")]
+)
 
 
-def _json_text(o, newline: str = "\n") -> str:
-    """The text of `json.dumps(o, indent=2)` for a document of dicts with
-    str keys, lists, str, int, bool and None; `newline` is the line break and
-    indentation of the line `o` starts on.
+def _rational_text(depth: int, x: Optional[Fraction]) -> str:
+    if x is None:
+        return "null"
+    decimal, exact = decimal_str(x)
+    return _RATIONAL_TEXT[depth] % (x, decimal, _BOOL[exact])
 
-    Any other type raises TypeError, as `json.dumps` does for a Fraction; a
-    float does too, since no report holds one.
-    """
-    if type(o) is dict:
-        if not o:
-            return "{}"
-        inner = newline + "  "
-        items = []
-        for key, value in o.items():
-            text = _SCALAR_TEXT.get(type(value))
-            items.append(_quote(key) + ": " + (text(value) if text else _json_text(value, inner)))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if type(o) is list:
-        if not o:
-            return "[]"
-        inner = newline + "  "
-        return "[" + inner + ("," + inner).join([_json_text(value, inner) for value in o]) + newline + "]"
-    text = _SCALAR_TEXT.get(type(o))
-    if text is None:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-    return text(o)
+
+def _interval_text(interval: Optional[bounds_mod.Interval]) -> str:
+    if interval is None:
+        return "null"
+    lower, upper = str(interval.lower), str(interval.upper)
+    lower_decimal, lower_exact = decimal_str(interval.lower)
+    upper_decimal, upper_exact = decimal_str(interval.upper)
+    # A rational's text is canonical, so equal texts are equal ends.
+    return _INTERVAL % (
+        lower, lower_decimal, _BOOL[lower_exact], upper, upper_decimal, _BOOL[upper_exact], _BOOL[lower == upper]
+    )
+
+
+def _verdict_text(verdict: propositions.Verdict) -> str:
+    witness = "null" if verdict.witness is None else _quote(verdict.witness)
+    return _VERDICT % (
+        _quote(verdict.school), _BOOL[verdict.detected], witness, _rational_text(12, verdict.value)
+    )
+
+
+def _stratum_text(sr: StratumReport) -> str:
+    """The text of the stratum's `report_to_json` entry in the report's
+    `json.dumps(..., indent=2)`, written from its records."""
+    evidence = sr.stratum.evidence
+    p0, p1, fusion = evidence.p0, evidence.p1, evidence.fusion
+    p1_text = fusion_text = "null"
+    if p1 is not None:
+        p1_text = _P1 % (_rational_text(8, p1.pi1), _rational_text(8, p1.q1), _rational_text(8, p1.q0))
+        cross_risks = sorted(fusion.derived_cross_risks.items())
+        fusion_text = _FUSION % (
+            _BOOL[fusion.compatible],
+            _lines(8, [_quote(v) for v in fusion.violations], "[]"),
+            _lines(8, [_quote(str(a)) + ": " + _rational_text(10, risk) for a, risk in cross_risks]),
+        )
+    bounds, verdicts = ["null", "null"], ["null", "null"]
+    for i, (_, level) in enumerate(sr.levels):
+        if level is not None:
+            bounds[i] = _lines(8, [_quote(k) + ": " + _interval_text(iv) for k, iv in level.bounds.items()])
+            verdicts[i] = _lines(8, [_quote(v.school) + ": " + _verdict_text(v) for v in level.verdicts])
+    return _STRATUM % (
+        _lines(6, [_quote(key) + ": " + _quote(value) for key, value in sr.stratum.labels]),
+        _P0 % (_rational_text(8, p0.p_do1), _rational_text(8, p0.p_do0)),
+        p1_text,
+        fusion_text,
+        _LEVELS % tuple(bounds),
+        _LEVELS % tuple(verdicts),
+        _BOOL[sr.incompatible],
+    )
 
 
 class _StratumEncoder(json.JSONEncoder):
-    """Encodes a `report_to_json` document one stratum per chunk, so that
-    `json.dump` makes one write per stratum instead of one per token.
-
-    The chunks join to `json.dumps(document, indent=2)`, whatever `indent`
-    the encoder is given.  The strata list is never empty, because
-    `StudyInput` refuses a study without strata.
+    """Encodes a report, the tuple of `StratumReport`s, as the text of
+    `json.dumps(report_to_json(report), indent=2)`, one stratum per chunk: so
+    `json.dump` makes one write per stratum, and no stratum's text outlives
+    its write.  `indent` is always 2, whatever the encoder is given.  The
+    report is never empty, because `StudyInput` refuses a study without
+    strata.
     """
 
     def iterencode(self, o, _one_shot=False):
         head = '{\n  "strata": [\n    '
-        for entry in o["strata"]:
-            yield head + _json_text(entry, "\n    ")
+        for sr in o:
+            yield head + _stratum_text(sr)
             head = ",\n    "
         yield "\n  ]\n}"
 
 
 def _emit_report(report: tuple[StratumReport, ...], fmt: str, stream) -> None:
     if fmt == "json":
-        json.dump(report_to_json(report), stream, indent=2, cls=_StratumEncoder)
+        json.dump(report, stream, indent=2, cls=_StratumEncoder)
         stream.write("\n")
     else:
         stream.write(render_text(report, color=_use_color(stream)))
@@ -701,7 +756,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 )
             if status != EXIT_OK:
                 sys.stdout.write(
-                    _json_text([_counterexample_json(r) for r in reports if r.counterexamples])
+                    json.dumps([_counterexample_json(r) for r in reports if r.counterexamples], indent=2)
                     + "\n"
                 )
             sys.stdout.flush()

@@ -5,13 +5,16 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from harmbounds import (
+    ExperimentalParams,
     JointDistribution,
+    ObservationalParams,
     ParseError,
     ValidationError,
     demo_joint,
@@ -27,10 +30,12 @@ from harmbounds.cli import (
     EXIT_OK,
     EXIT_USAGE,
     MAX_RATIONAL_CHARS,
+    StratumInput,
+    StudyInput,
     _StratumEncoder,
     _counterexample_json,
     _demo_study,
-    _json_text,
+    _emit_report,
     analyze,
     decimal_str,
     main,
@@ -68,6 +73,24 @@ DEMO_COUNTS = {
 # The demo stratum, and the same stratum as identified parameters.
 DEMO_STRATUM = DEMO_COUNTS["strata"][0]
 DEMO_PARAMETERS = {"p_do1": "51/100", "p_do0": "79/100", "pi1": "7/10", "q1": "3/10", "q0": "3/10"}
+
+
+# The evidence of the JSON writer's cases: the demo stratum; an empty
+# natural-choice treated arm (q1 undefined, one cross risk); sources that
+# break both fusion inequalities; and experimental data alone, with a
+# 100-digit risk and one that renders as an inexact decimal.
+WRITER_EVIDENCE = {
+    "demo": bounds_mod.EvidenceSet(
+        ExperimentalParams(F(51, 100), F(79, 100)), ObservationalParams(F(7, 10), F(3, 10), F(3, 10))
+    ),
+    "empty-arm": bounds_mod.EvidenceSet(
+        ExperimentalParams(F(51, 100), F(3, 10)), ObservationalParams(F(0), None, F(3, 10))
+    ),
+    "incompatible": bounds_mod.EvidenceSet(
+        ExperimentalParams(F(1, 10), F(9, 10)), ObservationalParams(F(1, 2), F(1, 2), F(1, 2))
+    ),
+    "experimental-only": bounds_mod.EvidenceSet(ExperimentalParams(F(10**99 - 7, 10**99), F(1, 3 * 10**13))),
+}
 
 
 # Compatible with an empty natural-choice treated arm: everyone is in A*=0,
@@ -224,6 +247,14 @@ class TestParseInput:
         study = parse_input(write_json(tmp_path, payload))
         assert [s.labels for s in study.strata] == [(("a", "1;b=2"),), (("a", "1"), ("b", "2"))]
 
+    def test_labels_that_join_to_the_same_name_get_two_headings(self, tmp_path):
+        """`;`, `=` and `\\` inside a key or value are escaped in the name."""
+        labels = [{"a": "1;b=2"}, {"a": "1", "b": "2"}, {"a\\": "="}]
+        payload = {"strata": [{**DEMO_STRATUM, "labels": pairs} for pairs in labels]}
+        text = render_text(analyze(parse_input(write_json(tmp_path, payload))))
+        headings = [line for line in text.splitlines() if line.startswith("Stratum ")]
+        assert headings == ["Stratum a=1\\;b\\=2", "Stratum a=1;b=2", "Stratum a\\\\=\\="]
+
     def test_csv_round(self, tmp_path):
         path = tmp_path / "study.csv"
         path.write_text(
@@ -346,35 +377,50 @@ class TestJsonReport:
             assert fused[key]["lower"]["decimal"] in text
 
     @pytest.mark.parametrize(
-        "value",
+        "strata",
         [
-            {"labels": {}, "fusion": {"compatible": True, "violations": [], "cross_risks": {}}},
-            [True, False, 1, 0, {"flag": True, "count": 1}, {"flag": False, "count": 0}],
-            {"ints": [-7, 10**99, -(10**99), 0], "none": None, "empty": [None, [], {}]},
-            {
-                'a "quoted" \\ key': 'line\nbreak\ttab\r\x00\x1f\x7f "quote" \\',
-                "caf\u00e9 \u4e2d": ["\u00e9\u4e2d\U0001f600", "\u2028\u2029", "\ud800"],
-                "\U0001f600\n": "astral",
-            },
+            [({}, "demo"), ({"sex": "men"}, "experimental-only")],
+            [
+                (
+                    {
+                        'a "quoted" \\ key': 'line\nbreak\ttab\r\x00\x1f\x7f "quote" \\',
+                        "caf\u00e9 \u4e2d": "\u00e9\u4e2d\U0001f600 \u2028\u2029 \ud800",
+                        "\U0001f600\n": "astral",
+                        "\udfff": "",
+                    },
+                    "demo",
+                ),
+                ({"\x00": "\\"}, "incompatible"),
+            ],
+            [({"arm": "empty"}, "empty-arm")],
+            [({"sources": "apart"}, "incompatible")],
+            [({"risks": "long"}, "experimental-only")],
         ],
-        ids=["unlabeled-stratum", "bools-and-ints", "ints-and-none", "escapes"],
+        ids=["unlabeled-stratum", "escapes", "empty-arm", "incompatible", "experimental-only"],
     )
-    def test_emitter_is_the_standard_indented_encoding(self, value):
-        assert _json_text(value) == json.dumps(value, indent=2)
-        document = {"strata": [value, value]}
-        written = "".join(_StratumEncoder(indent=2).iterencode(document))
-        assert written == json.dumps(document, indent=2)
-
-    @pytest.mark.parametrize("stray", [F(1, 3), 0.5], ids=["fraction", "float"])
-    def test_emitter_refuses_other_types(self, stray):
-        """A number that escaped `_rat_json` is an error, never text."""
-        document = {"strata": [{"labels": {}, "bounds": {"lower": stray}}]}
-        with pytest.raises(TypeError, match="is not JSON serializable"):
-            _json_text(document)
+    def test_emitter_is_the_standard_indented_encoding(self, strata):
+        """The writer's text is `json.dumps(..., indent=2)` of `report_to_json`,
+        the reference built from the same records."""
+        study = StudyInput(
+            tuple(StratumInput(tuple(labels.items()), WRITER_EVIDENCE[name]) for labels, name in strata)
+        )
+        report = analyze(study)
+        expected = json.dumps(report_to_json(report), indent=2)
+        assert "".join(_StratumEncoder(indent=2).iterencode(report)) == expected
         stream = io.StringIO()
-        with pytest.raises(TypeError, match="is not JSON serializable"):
-            json.dump(document, stream, indent=2, cls=_StratumEncoder)
-        assert stream.getvalue() == ""
+        _emit_report(report, "json", stream)
+        assert stream.getvalue() == expected + "\n"
+
+    def test_emitter_cases_reach_every_shape(self):
+        """The evidence of the cases above is what their names say."""
+        empty_arm, apart, alone = (
+            WRITER_EVIDENCE[name] for name in ("empty-arm", "incompatible", "experimental-only")
+        )
+        assert empty_arm.p1.q1 is None and list(empty_arm.fusion.derived_cross_risks) == [0]
+        assert len(apart.fusion.violations) == 2 and propositions.evidence_levels(apart)[1] is None
+        p0_only, fused = propositions.evidence_levels(alone)
+        assert fused is None and all(verdict.detected for verdict in p0_only.verdicts)
+        assert not decimal_str(alone.p0.p_do0)[1]
 
 
 class TestMain:
@@ -1091,9 +1137,40 @@ def test_json_report_is_written_one_stratum_at_a_time(argv, load, monkeypatch):
     assert stream.getvalue() == json.dumps(report_to_json(analyze(load())), indent=2) + "\n"
 
 
+def _screening_report(n):
+    """The report of n screening-style strata: every fifth has experimental
+    data alone, the others break a fusion inequality."""
+    strata = []
+    for i in range(n):
+        p0 = ExperimentalParams(F(i % 20 + 1, 1000), F(i % 7 + 2, 9))
+        p1 = None if i % 5 == 0 else ObservationalParams(F(1, 2), F(1, 2), F(1, 2))
+        strata.append(StratumInput((("stratum", f"s{i:05d}"),), bounds_mod.EvidenceSet(p0, p1)))
+    return analyze(StudyInput(tuple(strata)))
+
+
+def test_json_writer_memory_does_not_grow_with_the_strata():
+    """Each stratum's text is written before the next is built, so ten times
+    the strata must not raise the writer's peak allocation; a writer that
+    built the whole report first would raise it about tenfold."""
+    peaks = []
+    with open(os.devnull, "w") as sink:
+        for n in (40, 400):
+            report = _screening_report(n)
+            assert any(sr.incompatible for sr in report)
+            _emit_report(report, "json", sink)  # once untraced, for any lazy set-up
+            tracemalloc.start()
+            try:
+                _emit_report(report, "json", sink)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0], peaks
+
+
 def _modules_added_by(argv):
     """The modules that importing `harmbounds.cli` and running `main(argv)`
-    add to a fresh interpreter."""
+    add to a fresh interpreter; `-S` keeps the modules that site-packages'
+    `.pth` files import out of the count."""
     code = (
         "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
@@ -1103,7 +1180,7 @@ def _modules_added_by(argv):
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, timeout=60
+        [sys.executable, "-S", "-c", code], env=src_env(), capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
     added = set(result.stdout.split())
@@ -1123,12 +1200,13 @@ def test_example_never_imports_the_lp_oracle():
 
 @pytest.mark.parametrize(
     "argv",
-    [["analyze", "--input", str(CORPUS)], ["verify", "--samples", "3"]],
-    ids=["analyze", "verify"],
+    [["analyze", "--input", str(CORPUS)], ["verify", "--samples", "3"], ["example"]],
+    ids=["analyze", "verify", "example"],
 )
 def test_analyze_and_verify_import_only_what_they_use(argv):
-    """`importlib.resources` (which imports `inspect` from Python 3.12 on)
-    finds the bundled demo study, which only `example` reads."""
+    """`importlib.resources` imports `inspect`, `pathlib` and `zipfile`
+    (`inspect` from Python 3.12 on); `example` finds its bundled study
+    without it."""
     added = _modules_added_by(argv)
     assert not added & (_NEVER_IMPORTED | {"importlib.resources", "inspect"})
 
