@@ -123,7 +123,11 @@ def _verdict_json(verdict: propositions.Verdict) -> dict:
 # ---------------------------------------------------------------------------
 # input model
 
-_NAME_ESCAPES = str.maketrans({"\\": "\\\\", ";": "\\;", "=": "\\="})
+_NAME_ESCAPES = str.maketrans(
+    {"\\": "\\\\", ";": "\\;", "=": "\\="}
+    | {c: f"\\x{c:02x}" for c in [*range(0x20), 0x7F, 0x85]}
+    | {c: f"\\u{c:04x}" for c in (0x2028, 0x2029)}
+)
 
 
 class StratumInput(NamedTuple):
@@ -134,7 +138,10 @@ class StratumInput(NamedTuple):
     def name(self) -> str:
         """The labels as `key=value` pairs joined by `;`, with each `\\`, `;`
         and `=` inside a key or value escaped by a backslash, so that two
-        label sets never share a name."""
+        label sets never share a name.  The control characters U+0000-U+001F
+        and U+007F, and the line breaks U+0085, U+2028 and U+2029, are
+        written as `\\xNN` or `\\uNNNN`, so a name never spans two lines or
+        holds an ESC."""
         return ";".join(
             f"{k.translate(_NAME_ESCAPES)}={v.translate(_NAME_ESCAPES)}" for k, v in self.labels
         ) or "(unlabeled)"
@@ -279,9 +286,35 @@ def _read_text(path: str) -> str:
         raise ParseError(f"{path}, byte offset {exc.start}: not valid utf-8 ({exc.reason})") from None
 
 
+class _JsonNumber(float):
+    """A JSON number with a fraction or an exponent.  Its str is its source
+    text, so that a parameter is read from its own digits; its repr is the
+    float's."""
+
+    __slots__ = ("text",)
+
+    def __new__(cls, text: str) -> "_JsonNumber":
+        number = super().__new__(cls, text)
+        number.text = text
+        return number
+
+    def __str__(self) -> str:
+        return self.text
+
+
 def _parse_json_input(path: str) -> tuple[StratumInput, ...]:
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        # A ParseError, not a ValueError: the handler below reads any
+        # other ValueError from json.loads as a number that is too long.
+        block = dict(pairs)
+        if len(block) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeated = next(key for key in keys if keys.count(key) > 1)
+            raise ParseError(f"{path}: key {repeated!r} is repeated")
+        return block
+
     try:
-        data = json.loads(_read_text(path))
+        data = json.loads(_read_text(path), object_pairs_hook=unique_keys, parse_float=_JsonNumber)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except RecursionError:

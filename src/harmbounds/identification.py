@@ -1,12 +1,15 @@
 """Fusion compatibility and identification of the A* strata.
 
-With both data sources in hand, the within-stratum risk of the arm a
-patient would naturally take is observed directly, and the cross-world
-risk (the other arm's risk in the same stratum) is pinned down by a
-one-line linear solve against the experimental marginal.  Compatibility
-of the two sources is exactly the requirement that both derived
-cross-world risks are probabilities.  Without natural-choice data the
-only stratum is the whole population, with the experimental risks.
+Everything rests on one identity per arm a:
+
+    P(Y=1|do(A=a)) = P(A*=a)·P(Y=1|A*=a) + P(A*≠a)·P(Y^a=1 | A*≠a).
+
+The first term is observed.  Solved for the last factor, the identity
+gives the cross-world risk of the other stratum, and the two sources are
+compatible exactly when both identities hold with that factor in [0, 1]:
+P(Y=1|do(A=a)) lies in [P(Y=1, A*=a), P(Y=1, A*=a) + P(A*≠a)].  Without
+natural-choice data the only stratum is the whole population, with the
+experimental risks.
 """
 
 from __future__ import annotations
@@ -41,46 +44,26 @@ class Stratum(NamedTuple):
         return self.risk1 - self.risk0
 
 
-def _cross_risks(
-    p0: ExperimentalParams, p1: ObservationalParams
-) -> dict[int, Fraction]:
-    """Raw cross-world risks; values may fall outside [0,1] if incompatible.
-
-    P(Y^1=1) = pi1*q1 + (1-pi1)*P(Y^1=1 | A*=0) and symmetrically for arm 0,
-    so each cross risk is determined by a single linear equation.
-    """
-    risks: dict[int, Fraction] = {}
-    if p1.pi1 < 1:
-        risks[0] = (p0.p_do1 - p1.pi1 * (p1.q1 if p1.q1 is not None else 0)) / (1 - p1.pi1)
-    if p1.pi1 > 0:
-        risks[1] = (p0.p_do0 - (1 - p1.pi1) * (p1.q0 if p1.q0 is not None else 0)) / p1.pi1
-    return risks
-
-
 def compatibility_check(
     p0: ExperimentalParams, p1: ObservationalParams
 ) -> FusionReport:
-    """Check the fusion inequalities; incompatibility is a report, not an error."""
+    """Solve the identity for each arm; incompatibility is a report, not an error."""
     violations: list[str] = []
-    if p1.q1 is not None:
-        lo, hi = p1.pi1 * p1.q1, p1.pi1 * p1.q1 + (1 - p1.pi1)
-        if not lo <= p0.p_do1 <= hi:
+    cross: dict[int, Fraction] = {}
+    for arm, p_do, mass, risk in (
+        (1, p0.p_do1, p1.pi1, p1.q1),
+        (0, p0.p_do0, 1 - p1.pi1, p1.q0),
+    ):
+        seen = 0 if risk is None else mass * risk  # P(Y=1, A*=arm)
+        rest = 1 - mass  # P(A*≠arm)
+        if risk is not None and not seen <= p_do <= seen + rest:
             violations.append(
-                f"P(Y=1|do(A=1)) = {p0.p_do1} outside [{lo}, {hi}] "
-                f"implied by P(A*=1) = {p1.pi1}, P(Y=1|A*=1) = {p1.q1}"
+                f"P(Y=1|do(A={arm})) = {p_do} outside [{seen}, {seen + rest}] "
+                f"implied by P(A*={arm}) = {mass}, P(Y=1|A*={arm}) = {risk}"
             )
-    if p1.q0 is not None:
-        lo, hi = (1 - p1.pi1) * p1.q0, (1 - p1.pi1) * p1.q0 + p1.pi1
-        if not lo <= p0.p_do0 <= hi:
-            violations.append(
-                f"P(Y=1|do(A=0)) = {p0.p_do0} outside [{lo}, {hi}] "
-                f"implied by P(A*=0) = {1 - p1.pi1}, P(Y=1|A*=0) = {p1.q0}"
-            )
-    return FusionReport(
-        compatible=not violations,
-        violations=tuple(violations),
-        derived_cross_risks=_cross_risks(p0, p1),
-    )
+        if rest > 0:
+            cross[1 - arm] = (p_do - seen) / rest
+    return FusionReport(not violations, tuple(violations), cross)
 
 
 class EvidenceSet(namedtuple("EvidenceSet", "p0 p1 fusion strata")):

@@ -255,6 +255,24 @@ class TestParseInput:
         headings = [line for line in text.splitlines() if line.startswith("Stratum ")]
         assert headings == ["Stratum a=1\\;b\\=2", "Stratum a=1;b=2", "Stratum a\\\\=\\="]
 
+    def test_control_characters_in_labels_are_escaped(self, tmp_path):
+        """A line break in a label used to start a forged heading line, and an
+        ESC byte reached the terminal."""
+        labels = [
+            {"a": "1\nStratum b=2"},
+            {"a": "\x1b[31m"},
+            {"\x00\x7f": "\x85\u2028\u2029\\x0a"},
+        ]
+        payload = {"strata": [{**DEMO_STRATUM, "labels": pairs} for pairs in labels]}
+        text = render_text(analyze(parse_input(write_json(tmp_path, payload))))
+        headings = [line for line in text.splitlines() if line.startswith("Stratum ")]
+        assert headings == [
+            "Stratum a=1\\x0aStratum b\\=2",
+            "Stratum a=\\x1b[31m",
+            "Stratum \\x00\\x7f=\\x85\\u2028\\u2029\\\\x0a",
+        ]
+        assert not any(c in text for c in "\x00\x1b\x7f\x85\u2028\u2029")
+
     def test_csv_round(self, tmp_path):
         path = tmp_path / "study.csv"
         path.write_text(
@@ -780,6 +798,63 @@ class TestInputBoundary:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}, stratum 0: a label key is empty\n"
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            (
+                '{"strata": [{"experimental": {"treated": {"events": 5, "total": 10, "events": 9}, '
+                '"untreated": {"events": 1, "total": 10}}}]}',
+                "events",
+            ),
+            ('{"strata": [{"labels": {"a": "1", "a": "2"}, "parameters": {"p_do1": "1/2", "p_do0": "1/2"}}]}', "a"),
+            ('{"strata": [{"parameters": {"p_do1": "1/2", "p_do0": "1/2", "p_do1": "1/3"}}]}', "p_do1"),
+            ('{"strata": [], "strata": [{"parameters": {"p_do1": "1/2", "p_do0": "1/2"}}]}', "strata"),
+        ],
+        ids=["count", "label", "parameter", "top-level"],
+    )
+    def test_json_repeated_key_is_refused(self, text, key, tmp_path, capsys):
+        """The last of the repeated keys used to win: 5/10 was analyzed as 9/10."""
+        path = tmp_path / "study.json"
+        path.write_text(text)
+        assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: key {key!r} is repeated\n"
+
+    def test_json_number_parameter_is_read_from_its_digits(self, tmp_path, capsys):
+        """A number with more digits than a float holds used to be rounded
+        through one: 0.12345678901234567890123 became 1543209862654321/12500000000000000."""
+        path = tmp_path / "study.json"
+        path.write_text('{"strata": [{"parameters": {"p_do1": 0.12345678901234567890123, "p_do0": 0.5}}]}')
+        assert main(["analyze", "--input", str(path), "--format", "json"]) == EXIT_OK
+        p0 = json.loads(capsys.readouterr().out)["strata"][0]["p0"]
+        assert p0["p_do1"]["rational"] == "12345678901234567890123/100000000000000000000000"
+        assert p0["p_do0"]["rational"] == "1/2"
+
+    @pytest.mark.parametrize("number", ["1e-3", "5E-1", "0.5e0"])
+    def test_json_number_parameter_with_an_exponent_is_refused(self, number, tmp_path, capsys):
+        """As the string "1e-3" is; the number used to be read as the float 0.001."""
+        path = tmp_path / "study.json"
+        path.write_text(f'{{"strata": [{{"parameters": {{"p_do1": {number}, "p_do0": "1/2"}}}}]}}')
+        assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}, stratum 0, parameter 'p_do1': not a rational number: {number!r}\n"
+        )
+
+    def test_json_float_count_keeps_its_message(self, tmp_path, capsys):
+        path = tmp_path / "study.json"
+        path.write_text(
+            '{"strata": [{"experimental": {"treated": {"events": 51.0, "total": 1e2}, '
+            '"untreated": {"events": 1, "total": 10}}}]}'
+        )
+        assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {path}, stratum 0, experimental.treated: "
+            "events and total must be integers, got 51.0 and 100.0\n"
+        )
 
     @pytest.mark.parametrize(
         "digits,where",

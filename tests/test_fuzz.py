@@ -5,14 +5,18 @@ nothing on stdout and exactly one `error:` line on stderr; exits 0 and 2
 print a report and nothing on stderr.  No exception may escape `main`, and
 the hypothesis deadline bounds the time of every run.  For valid studies
 the JSON report must be the bytes of the standard library's indented
-encoding of `report_to_json`.
+encoding of `report_to_json`, and the text report must give each stratum
+one heading line.  A repeated key is refused, and a parameter written as
+a JSON number is read from its digits.
 """
 
 import contextlib
 import csv
 import io
 import json
+import re
 from datetime import timedelta
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -98,6 +102,23 @@ def mutated_studies(draw):
     return study
 
 
+# A key no generated study holds; its JSON text is replaced by a repeated key.
+_REPEAT = "\x00repeat\x00"
+
+
+@st.composite
+def repeated_key_documents(draw):
+    """The text of a valid study in which one object writes one of its keys
+    twice, and that key."""
+    study = draw(valid_studies)
+    *parents, key = draw(st.sampled_from([p for p in _paths(study) if p and isinstance(p[-1], str)]))
+    node = study
+    for step in parents:
+        node = node[step]
+    node[_REPEAT] = draw(json_values)
+    return json.dumps(study).replace(json.dumps(_REPEAT), json.dumps(key)), key
+
+
 json_documents = st.one_of(
     mutated_studies().map(json.dumps),
     json_values.map(json.dumps),
@@ -165,6 +186,31 @@ def test_any_json_document(workdir, text, fmt):
 
 
 @FUZZ
+@given(document=repeated_key_documents())
+def test_a_repeated_key_is_refused(workdir, document):
+    text, key = document
+    path = workdir / "repeated.json"
+    path.write_text(text, encoding="utf-8")
+    assert _analyze(path, "text") == (EXIT_USAGE, "", f"error: {path}: key {key!r} is repeated\n")
+
+
+@FUZZ
+@given(number=st.from_regex(r"-?(0|[1-9][0-9]{0,2})(\.[0-9]{1,40})?([eE][+-]?[0-9]{1,3})?", fullmatch=True))
+def test_a_number_parameter_is_read_from_its_digits(workdir, number):
+    """Exactly as the same text in a string: no exponent, and no rounding."""
+    path = workdir / "number.json"
+    path.write_text(f'{{"strata": [{{"parameters": {{"p_do1": {number}, "p_do0": "1/2"}}}}]}}')
+    status, out, err = _analyze(path, "json")
+    value = Fraction(number)
+    if re.fullmatch(r"-?[0-9]+(\.[0-9]+)?", number) and 0 <= value <= 1:
+        assert (status, err) == (EXIT_OK, "")
+        assert json.loads(out)["strata"][0]["p0"]["p_do1"]["rational"] == str(value)
+    else:
+        _assert_contract(status, out, err)
+        assert status == EXIT_USAGE and err.startswith(f"error: {path}, stratum 0, parameter 'p_do1': ")
+
+
+@FUZZ
 @given(text=csv_documents(), fmt=st.sampled_from(["text", "json"]))
 def test_any_csv_rows(workdir, text, fmt):
     path = workdir / "study.csv"
@@ -179,7 +225,10 @@ incompatible_parameters = st.sampled_from([
     {"p_do1": "1/10", "p_do0": "1/2", "pi1": "9/10", "q1": "9/10", "q0": "1/2"},
     {"p_do1": "1/2", "p_do0": "1", "pi1": "1/2", "q1": "1/2", "q0": "0"},
 ]).map(lambda params: {"parameters": params})
-label_texts = st.one_of(st.sampled_from(["", "\n", '"', "\\", "\u00e9\u4e2d\U0001f600", "a=b;c"]), st.text(max_size=6))
+label_texts = st.one_of(
+    st.sampled_from(["", "\n", '"', "\\", "\u00e9\u4e2d\U0001f600", "a=b;c", "\x1b[31m", "\r\x85\u2028\u2029"]),
+    st.text(max_size=6),
+)
 
 
 labeled_studies = st.lists(
@@ -205,3 +254,16 @@ def test_json_report_is_the_standard_encoding(workdir, study):
     assert status in (EXIT_OK, EXIT_ALL_INCOMPATIBLE) and err == ""
     expected = report_to_json(analyze(parse_input(str(path))))
     assert out == json.dumps(expected, indent=2) + "\n"
+
+
+@FUZZ
+@given(study=labeled_studies)
+def test_text_report_heads_each_stratum_on_one_line(workdir, study):
+    path = workdir / "labeled.json"
+    path.write_text(json.dumps(study), encoding="utf-8")
+    status, out, err = _analyze(path, "text")
+    assert status in (EXIT_OK, EXIT_ALL_INCOMPATIBLE) and err == ""
+    lines = out.splitlines()
+    assert lines == out.split("\n")[:-1]
+    assert sum(line.startswith("Stratum ") for line in lines) == len(study["strata"])
+    assert not any(c in out for c in "\x1b\x7f")

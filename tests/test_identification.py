@@ -53,6 +53,66 @@ class TestCompatibilityCheck:
         p1 = ObservationalParams(F(0), None, F(1, 5))
         assert not compatibility_check(p0, p1).compatible
 
+    @pytest.mark.parametrize(
+        "p0,p1,violations,cross",
+        [
+            (
+                ExperimentalParams(F(1, 3), F(2, 5)),
+                ObservationalParams(F(0), None, F(1, 5)),
+                (
+                    "P(Y=1|do(A=0)) = 2/5 outside [1/5, 1/5] "
+                    "implied by P(A*=0) = 1, P(Y=1|A*=0) = 1/5",
+                ),
+                {0: F(1, 3)},
+            ),
+            (
+                ExperimentalParams(F(1, 2), F(1, 3)),
+                ObservationalParams(F(1), F(1, 5), None),
+                (
+                    "P(Y=1|do(A=1)) = 1/2 outside [1/5, 1/5] "
+                    "implied by P(A*=1) = 1, P(Y=1|A*=1) = 1/5",
+                ),
+                {1: F(1, 3)},
+            ),
+            (
+                ExperimentalParams(F(1, 10), F(1, 2)),
+                ObservationalParams(F(3, 10), F(9, 10), F(1, 2)),
+                (
+                    "P(Y=1|do(A=1)) = 1/10 outside [27/100, 97/100] "
+                    "implied by P(A*=1) = 3/10, P(Y=1|A*=1) = 9/10",
+                ),
+                {0: F(-17, 70), 1: F(1, 2)},
+            ),
+            (
+                ExperimentalParams(F(1, 2), F(9, 10)),
+                ObservationalParams(F(3, 10), F(1, 2), F(1, 2)),
+                (
+                    "P(Y=1|do(A=0)) = 9/10 outside [7/20, 13/20] "
+                    "implied by P(A*=0) = 7/10, P(Y=1|A*=0) = 1/2",
+                ),
+                {0: F(1, 2), 1: F(11, 6)},
+            ),
+            (
+                ExperimentalParams(F(1, 10), F(9, 10)),
+                ObservationalParams(F(3, 10), F(1), F(0)),
+                (
+                    "P(Y=1|do(A=1)) = 1/10 outside [3/10, 1] "
+                    "implied by P(A*=1) = 3/10, P(Y=1|A*=1) = 1",
+                    "P(Y=1|do(A=0)) = 9/10 outside [0, 3/10] "
+                    "implied by P(A*=0) = 7/10, P(Y=1|A*=0) = 0",
+                ),
+                {0: F(-2, 7), 1: F(3)},
+            ),
+        ],
+        ids=["pi1-zero", "pi1-one", "only-arm-1", "only-arm-0", "both-arms"],
+    )
+    def test_violations_and_cross_risks_are_pinned(self, p0, p1, violations, cross):
+        """The exact messages, and the raw cross-world risks in key order
+        0, 1, which fall outside [0, 1] when the evidence is incompatible."""
+        report = compatibility_check(p0, p1)
+        assert report == (False, violations, cross)
+        assert list(report.derived_cross_risks) == list(cross)
+
 
 class TestIdentify:
     def test_demo_strata(self, demo_params):
