@@ -1,101 +1,72 @@
 """Sharp bounds on harm/benefit probabilities and treatment effects.
 
-Every bound is a closed form over the identified strata of an
-`identification.EvidenceSet`.  Within a stratum both potential-outcome risks
-are identified, so harm and benefit there have the two-marginal (Frechet)
-bounds; the marginal bounds are their mass-weighted sums.  Without
-natural-choice data the one stratum is the whole population, which gives
-the classical experimental bounds.  The test suite pins every closed form
-to an independent LP oracle (exact vertex enumeration over the joints
-consistent with the evidence), which no runtime module imports.
+Every bound is read from the strata of an `identification.EvidenceSet`,
+which keeps each on the joint scale, j_a = P(Y^a=1, A*=s), with its CATE
+and conditional bounds.  Harm within stratum s has the Frechet bounds
+[max(0, j1 - j0), min(j1, P(A*=s) - j0)], and the marginal bounds are their
+sums.  With natural-choice data the lower bound is Tian & Pearl's
+max(0, P(y) - P(y|do(a0))) + max(0, P(y|do(a1)) - P(y)); without it, the one
+stratum is the whole population.  The tests pin every closed form to an
+independent LP oracle, which no runtime module imports.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable
 
-from .identification import EvidenceSet
+from .identification import EvidenceSet, Interval
 from .model import ONE, ZERO
 
-
-class Interval(namedtuple("Interval", "lower upper")):
-    """A lower/upper bound pair; sharpness is a contract, not a field."""
-
-    __slots__ = ()
-
-    def __new__(cls, lower: Fraction, upper: Fraction) -> "Interval":
-        if lower > upper:
-            raise ValueError(f"lower {lower} exceeds upper {upper}")
-        return super().__new__(cls, lower, upper)
-
-    def __contains__(self, value: object) -> bool:
-        return self.lower <= value <= self.upper  # type: ignore[operator]
+# The experimental data carry no information about A*, so without
+# natural-choice data each conditional ATE is the closure [-1, 1].
+VACUOUS_CATE = Interval(-ONE, ONE)
 
 
 def is_point_identified(interval: Interval) -> bool:
     return interval.lower == interval.upper
 
 
-def _frechet(first: Fraction, second: Fraction) -> tuple[Fraction, Fraction]:
-    """Sharp bounds on P(U=1, V=0) given only P(U=1) = first and P(V=1) = second."""
-    return max(ZERO, first - second), min(first, 1 - second)
-
-
-def _mixture(parts: Iterable[tuple[Fraction, tuple[Fraction, Fraction]]]) -> Interval:
-    """The mass-weighted sum of per-stratum (lower, upper) bounds.
-
-    The non-empty strata partition the population, so a lone stratum has
-    mass 1 and its bounds are returned as they are.
-    """
-    parts = list(parts)
-    if len(parts) == 1:
-        return Interval(*parts[0][1])
-    lower = upper = ZERO
-    for mass, (lo, hi) in parts:
-        lower += mass * lo
-        upper += mass * hi
+def _frechet_sum(strata: Iterable[tuple[Fraction, Fraction, Fraction]]) -> Interval:
+    """Sharp bounds on P(U=1, V=0) from each stratum's (mass, P(U=1, stratum), P(V=1, stratum))."""
+    (lower, upper), *rest = [(max(ZERO, u - v), min(u, mass - v)) for mass, u, v in strata]
+    for more_lower, more_upper in rest:
+        lower += more_lower
+        upper += more_upper
     return Interval(lower, upper)
 
 
 def harm_bounds(evidence: EvidenceSet) -> Interval:
     """Sharp bounds on P(Y^{a=1}=1, Y^{a=0}=0)."""
-    return _mixture((s.mass, _frechet(s.risk1, s.risk0)) for s in evidence.strata)
+    return _frechet_sum((s.mass, s.joint1, s.joint0) for s in evidence.strata)
 
 
 def benefit_bounds(evidence: EvidenceSet) -> Interval:
     """Sharp bounds on P(Y^{a=1}=0, Y^{a=0}=1)."""
-    return _mixture((s.mass, _frechet(s.risk0, s.risk1)) for s in evidence.strata)
+    return _frechet_sum((s.mass, s.joint0, s.joint1) for s in evidence.strata)
 
 
 def conditional_harm_bounds(evidence: EvidenceSet, astar: int) -> Interval:
     """Sharp bounds on P(harm | A*=astar): Frechet bounds on identified risks."""
-    stratum = evidence.stratum(astar)
-    return Interval(*_frechet(stratum.risk1, stratum.risk0))
+    return evidence.stratum(astar).harm_bounds
 
 
 def conditional_benefit_bounds(evidence: EvidenceSet, astar: int) -> Interval:
     """Sharp bounds on P(benefit | A*=astar)."""
-    stratum = evidence.stratum(astar)
-    return Interval(*_frechet(stratum.risk0, stratum.risk1))
+    return evidence.stratum(astar).benefit_bounds
 
 
 def ate_bounds(evidence: EvidenceSet) -> Interval:
-    """The marginal ATE, the mass-weighted sum of the stratum ATEs; a point."""
-    ate = sum(s.mass * s.cate for s in evidence.strata)
+    """The marginal ATE, P(Y=1|do(A=1)) - P(Y=1|do(A=0)); a point, for compatible evidence."""
+    evidence.strata  # raises IncompatibleEvidence when no joint fits
+    ate = evidence.p0.p_do1 - evidence.p0.p_do0
     return Interval(ate, ate)
 
 
 def cate_bounds(evidence: EvidenceSet, astar: int) -> Interval:
-    """Conditional ATE given A*: vacuous without natural-choice data, a point with it.
-
-    The experimental data carry no information about A*, so the
-    experimental-only interval is the closure [-1, 1].
-    """
+    """Conditional ATE given A*: vacuous without natural-choice data, a point with it."""
     if astar not in (0, 1):
         raise ValueError(f"astar must be 0 or 1, got {astar!r}")
     if evidence.p1 is None:
-        return Interval(-ONE, ONE)
-    cate = evidence.stratum(astar).cate
-    return Interval(cate, cate)
+        return VACUOUS_CATE
+    return evidence.stratum(astar).cate_bounds

@@ -125,8 +125,8 @@ def _verdict_json(verdict: propositions.Verdict) -> dict:
 
 _NAME_ESCAPES = str.maketrans(
     {"\\": "\\\\", ";": "\\;", "=": "\\="}
-    | {c: f"\\x{c:02x}" for c in [*range(0x20), 0x7F, 0x85]}
-    | {c: f"\\u{c:04x}" for c in (0x2028, 0x2029)}
+    | {c: f"\\x{c:02x}" for c in [*range(0x20), *range(0x7F, 0xA0)]}
+    | {c: f"\\u{c:04x}" for c in [0x2028, 0x2029, *range(0x202A, 0x202F), *range(0x2066, 0x206A)]}
 )
 
 
@@ -139,9 +139,10 @@ class StratumInput(NamedTuple):
         """The labels as `key=value` pairs joined by `;`, with each `\\`, `;`
         and `=` inside a key or value escaped by a backslash, so that two
         label sets never share a name.  The control characters U+0000-U+001F
-        and U+007F, and the line breaks U+0085, U+2028 and U+2029, are
-        written as `\\xNN` or `\\uNNNN`, so a name never spans two lines or
-        holds an ESC."""
+        and U+007F-U+009F, the line breaks U+2028 and U+2029, and the
+        bidirectional controls U+202A-U+202E and U+2066-U+2069 are written as
+        `\\xNN` or `\\uNNNN`, so a name never spans two lines, holds an ESC or
+        CSI, or reorders the rest of its line."""
         return ";".join(
             f"{k.translate(_NAME_ESCAPES)}={v.translate(_NAME_ESCAPES)}" for k, v in self.labels
         ) or "(unlabeled)"
@@ -313,8 +314,13 @@ def _parse_json_input(path: str) -> tuple[StratumInput, ...]:
             raise ParseError(f"{path}: key {repeated!r} is repeated")
         return block
 
+    text = _read_text(path)
     try:
-        data = json.loads(_read_text(path), object_pairs_hook=unique_keys, parse_float=_JsonNumber)
+        data = json.loads(text, object_pairs_hook=unique_keys, parse_float=_JsonNumber)
+    except ParseError as exc:  # a repeated key; only this path loads the code that places it
+        from .repeated_keys import placed
+
+        raise placed(exc, text, path) from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except RecursionError:

@@ -1,15 +1,14 @@
-"""Fusion compatibility and identification of the A* strata.
+"""Fusion compatibility and identification of the A* strata, on the joint scale.
 
 Everything rests on one identity per arm a:
 
-    P(Y=1|do(A=a)) = P(A*=a)·P(Y=1|A*=a) + P(A*≠a)·P(Y^a=1 | A*≠a).
+    P(Y=1|do(A=a)) = P(Y=1, A*=a) + P(Y^a=1, A*≠a).
 
-The first term is observed.  Solved for the last factor, the identity
-gives the cross-world risk of the other stratum, and the two sources are
-compatible exactly when both identities hold with that factor in [0, 1]:
-P(Y=1|do(A=a)) lies in [P(Y=1, A*=a), P(Y=1, A*=a) + P(A*≠a)].  Without
-natural-choice data the only stratum is the whole population, with the
-experimental risks.
+Each stratum s keeps its mass P(A*=s) and its joint numbers P(Y^a=1, A*=s):
+the observed P(Y=1, A*=s) in arm s, and P(Y=1|do(A=a)) minus the other
+stratum's observed term in the other arm.  The sources are compatible
+exactly when each joint number lies in [0, P(A*=s)].  Without natural-choice
+data the one stratum is the whole population, with the experimental risks.
 """
 
 from __future__ import annotations
@@ -19,7 +18,21 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import IncompatibleEvidence, MissingObservational, NullStratum
-from .model import ExperimentalParams, ObservationalParams, ONE
+from .model import ExperimentalParams, ObservationalParams, ONE, ZERO
+
+
+class Interval(namedtuple("Interval", "lower upper")):
+    """A lower/upper bound pair; sharpness is a contract, not a field."""
+
+    __slots__ = ()
+
+    def __new__(cls, lower: Fraction, upper: Fraction) -> "Interval":
+        if lower > upper:
+            raise ValueError(f"lower {lower} exceeds upper {upper}")
+        return super().__new__(cls, lower, upper)
+
+    def __contains__(self, value: object) -> bool:
+        return self.lower <= value <= self.upper  # type: ignore[operator]
 
 
 class FusionReport(NamedTuple):
@@ -31,38 +44,49 @@ class FusionReport(NamedTuple):
 
 
 class Stratum(NamedTuple):
-    """A non-empty stratum and both of its identified potential-outcome risks."""
+    """A non-empty stratum on the joint scale, and its conditional bounds."""
 
-    astar: Optional[int]  # None: the whole population, A* unmeasured
-    mass: Fraction
-    risk1: Fraction  # P(Y^{a=1}=1 | stratum)
-    risk0: Fraction  # P(Y^{a=0}=1 | stratum)
+    astar: Optional[int]  # None: the whole population, A* unmeasured; no conditional bounds
+    mass: Fraction  # P(A*=astar)
+    joint1: Fraction  # P(Y^{a=1}=1, A*=astar)
+    joint0: Fraction  # P(Y^{a=0}=1, A*=astar)
+    cate: Fraction  # the stratum's average treatment effect, point identified
+    cate_bounds: Optional[Interval] = None  # [cate, cate]
+    harm_bounds: Optional[Interval] = None  # sharp bounds on P(harm | A*=astar)
+    benefit_bounds: Optional[Interval] = None  # sharp bounds on P(benefit | A*=astar)
 
-    @property
-    def cate(self) -> Fraction:
-        """The stratum's average treatment effect, point identified."""
-        return self.risk1 - self.risk0
+
+def _stratum(
+    astar: int, mass: Fraction, joint1: Fraction, joint0: Fraction, risk1: Fraction, risk0: Fraction
+) -> Stratum:
+    """An A* stratum; with both risks (risk_a = joint_a / mass) identified, its
+    harm has the Frechet bounds [max(0, r1 - r0), min(r1, 1 - r0)]."""
+    cate = risk1 - risk0
+    return Stratum(
+        astar, mass, joint1, joint0, cate, Interval(cate, cate),
+        Interval(max(ZERO, cate), min(risk1, ONE - risk0)),
+        Interval(max(ZERO, -cate), min(risk0, ONE - risk1)),
+    )
 
 
-def compatibility_check(
-    p0: ExperimentalParams, p1: ObservationalParams
-) -> FusionReport:
+def compatibility_check(p0: ExperimentalParams, p1: ObservationalParams) -> FusionReport:
     """Solve the identity for each arm; incompatibility is a report, not an error."""
     violations: list[str] = []
     cross: dict[int, Fraction] = {}
-    for arm, p_do, mass, risk in (
-        (1, p0.p_do1, p1.pi1, p1.q1),
-        (0, p0.p_do0, 1 - p1.pi1, p1.q0),
+    mass0 = ONE - p1.pi1
+    for arm, p_do, mass, rest, risk in (
+        (1, p0.p_do1, p1.pi1, mass0, p1.q1),
+        (0, p0.p_do0, mass0, p1.pi1, p1.q0),
     ):
-        seen = 0 if risk is None else mass * risk  # P(Y=1, A*=arm)
-        rest = 1 - mass  # P(A*≠arm)
-        if risk is not None and not seen <= p_do <= seen + rest:
+        seen = ZERO if risk is None else mass * risk  # P(Y=1, A*=arm)
+        other = p_do - seen  # P(Y^arm=1, A*≠arm), in [0, P(A*≠arm)] when compatible
+        if risk is not None and not ZERO <= other <= rest:
             violations.append(
                 f"P(Y=1|do(A={arm})) = {p_do} outside [{seen}, {seen + rest}] "
                 f"implied by P(A*={arm}) = {mass}, P(Y=1|A*={arm}) = {risk}"
             )
-        if rest > 0:
-            cross[1 - arm] = (p_do - seen) / rest
+        if rest:
+            cross[1 - arm] = other / rest
     return FusionReport(not violations, tuple(violations), cross)
 
 
@@ -80,16 +104,19 @@ class EvidenceSet(namedtuple("EvidenceSet", "p0 p1 fusion strata")):
     ) -> "EvidenceSet":
         fusion = strata = None
         if p1 is None:
-            strata = (Stratum(None, ONE, p0.p_do1, p0.p_do0),)
+            strata = (Stratum(None, ONE, p0.p_do1, p0.p_do0, p0.p_do1 - p0.p_do0),)
         else:
             fusion = compatibility_check(p0, p1)
             if fusion.compatible:
                 cross = fusion.derived_cross_risks
+                mass0 = ONE - p1.pi1
+                seen1 = ZERO if p1.q1 is None else p1.pi1 * p1.q1  # P(Y=1, A*=1)
+                seen0 = ZERO if p1.q0 is None else mass0 * p1.q0  # P(Y=1, A*=0)
                 both = (
-                    Stratum(0, 1 - p1.pi1, cross.get(0), p1.q0),
-                    Stratum(1, p1.pi1, p1.q1, cross.get(1)),
+                    (0, mass0, p0.p_do1 - seen1, seen0, cross.get(0), p1.q0),
+                    (1, p1.pi1, seen1, p0.p_do0 - seen0, p1.q1, cross.get(1)),
                 )
-                strata = tuple(s for s in both if s.mass > 0)
+                strata = tuple(_stratum(*s) for s in both if s[1])
         return super().__new__(cls, p0, p1, fusion, strata)
 
     def __getnewargs__(self) -> tuple:
@@ -123,5 +150,5 @@ def identify_stratum_risks(
     Returns (P(Y^{a=1}=1 | A*=astar), P(Y^{a=0}=1 | A*=astar)).
     """
     stratum = EvidenceSet(p0, p1).stratum(astar)
-    return stratum.risk1, stratum.risk0
+    return stratum.joint1 / stratum.mass, stratum.joint0 / stratum.mass
 

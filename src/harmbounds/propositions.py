@@ -139,7 +139,7 @@ def check_prop2(p0_only: Level, fused: Level) -> Optional[str]:
         ("fused", fused, "stratum"),
     ):
         point = bounds_mod.is_point_identified(lvl.bounds["harm"])
-        degenerate = all(s.risk1 in (0, 1) or s.risk0 in (0, 1) for s in lvl.evidence.strata)
+        degenerate = all(s.joint1 in (0, s.mass) or s.joint0 in (0, s.mass) for s in lvl.evidence.strata)
         if point != degenerate:
             return (
                 f"{label}: point identification {point} but "

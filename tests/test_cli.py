@@ -273,6 +273,17 @@ class TestParseInput:
         ]
         assert not any(c in text for c in "\x00\x1b\x7f\x85\u2028\u2029")
 
+    def test_c1_and_bidirectional_controls_in_labels_are_escaped(self, tmp_path, capsys, monkeypatch):
+        """U+009B (CSI) starts a control sequence on terminals that honour
+        8-bit C1, and U+202E reorders how the rest of the heading displays."""
+        monkeypatch.setenv("HARMBOUNDS_COLOR", "never")
+        payload = {"strata": [{**DEMO_STRATUM, "labels": {"a": "x\u009b31my\u202eevil"}}]}
+        assert main(["analyze", "--input", write_json(tmp_path, payload), "--format", "text"]) == EXIT_OK
+        text = capsys.readouterr().out
+        assert "Stratum a=x\\x9b31my\\u202eevil\n" in text
+        controls = [*range(0x80, 0xA0), *range(0x202A, 0x202F), *range(0x2066, 0x206A)]
+        assert not any(chr(c) in text for c in controls)
+
     def test_csv_round(self, tmp_path):
         path = tmp_path / "study.csv"
         path.write_text(
@@ -800,27 +811,64 @@ class TestInputBoundary:
         assert captured.err == f"error: {path}, stratum 0: a label key is empty\n"
 
     @pytest.mark.parametrize(
-        "text,key",
+        "text,where,key",
         [
             (
                 '{"strata": [{"experimental": {"treated": {"events": 5, "total": 10, "events": 9}, '
                 '"untreated": {"events": 1, "total": 10}}}]}',
+                ", stratum 0, experimental.treated",
                 "events",
             ),
-            ('{"strata": [{"labels": {"a": "1", "a": "2"}, "parameters": {"p_do1": "1/2", "p_do0": "1/2"}}]}', "a"),
-            ('{"strata": [{"parameters": {"p_do1": "1/2", "p_do0": "1/2", "p_do1": "1/3"}}]}', "p_do1"),
-            ('{"strata": [], "strata": [{"parameters": {"p_do1": "1/2", "p_do0": "1/2"}}]}', "strata"),
+            (
+                '{"strata": [{"labels": {"a": "1", "a": "2"}, "parameters": {"p_do1": "1/2", "p_do0": "1/2"}}]}',
+                ", stratum 0, labels",
+                "a",
+            ),
+            (
+                '{"strata": [{"parameters": {"p_do1": "1/2", "p_do0": "1/2", "p_do1": "1/3"}}]}',
+                ", stratum 0, parameters",
+                "p_do1",
+            ),
+            (
+                '{"strata": [], "strata": [{"parameters": {"p_do1": "1/2", "p_do0": "1/2"}}]}',
+                "",
+                "strata",
+            ),
+            (
+                '{"strata": [{"parameters": {"p_do1": "1/2", "p_do0": "1/2"}}, '
+                '{"parameters": {"p_do1": "1/2", "p_do0": "1/2"}, "parameters": {"p_do1": "1/3", "p_do0": "1/2"}}]}',
+                ", stratum 1",
+                "parameters",
+            ),
+            (
+                '{"strata": [{"experimental": {"treated": {"events": 5, "total": 10}, '
+                '"untreated": {"events": 1, "total": 10}, "treated": {"events": 9, "total": 10}}}]}',
+                ", stratum 0, experimental",
+                "treated",
+            ),
         ],
-        ids=["count", "label", "parameter", "top-level"],
+        ids=["count", "label", "parameter", "top-level", "stratum", "arm"],
     )
-    def test_json_repeated_key_is_refused(self, text, key, tmp_path, capsys):
-        """The last of the repeated keys used to win: 5/10 was analyzed as 9/10."""
+    def test_json_repeated_key_is_refused(self, text, where, key, tmp_path, capsys):
+        """The last of the repeated keys used to win: 5/10 was analyzed as 9/10.
+        The error names the object's place, as every other input error does."""
         path = tmp_path / "study.json"
         path.write_text(text)
         assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {path}: key {key!r} is repeated\n"
+        assert captured.err == f"error: {path}{where}: key {key!r} is repeated\n"
+
+    def test_json_repeated_key_names_the_first_object_read(self, tmp_path, capsys):
+        """An inner object is read before the one around it; a repeat that a
+        second read cannot reach, past a syntax error, is named without a place."""
+        path = tmp_path / "study.json"
+        path.write_text('{"strata": [{"labels": {"a": "1", "a": "2"}, "labels": {}}]}')
+        assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {path}, stratum 0, labels: key 'a' is repeated\n"
+        path.write_text('{"strata": [{"labels": {"a": "1", "a": "2"}}], ')
+        assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {path}: key 'a' is repeated\n"
 
     def test_json_number_parameter_is_read_from_its_digits(self, tmp_path, capsys):
         """A number with more digits than a float holds used to be rounded

@@ -109,14 +109,18 @@ _REPEAT = "\x00repeat\x00"
 @st.composite
 def repeated_key_documents(draw):
     """The text of a valid study in which one object writes one of its keys
-    twice, and that key."""
+    twice, that object's place as an error names it, and the key."""
     study = draw(valid_studies)
     *parents, key = draw(st.sampled_from([p for p in _paths(study) if p and isinstance(p[-1], str)]))
     node = study
     for step in parents:
         node = node[step]
     node[_REPEAT] = draw(json_values)
-    return json.dumps(study).replace(json.dumps(_REPEAT), json.dumps(key)), key
+    # Every object below the top level is in a stratum: ["strata", i, *keys].
+    place = f", stratum {parents[1]}" if parents else ""
+    if parents[2:]:
+        place += ", " + ".".join(parents[2:])
+    return json.dumps(study).replace(json.dumps(_REPEAT), json.dumps(key)), place, key
 
 
 json_documents = st.one_of(
@@ -188,10 +192,10 @@ def test_any_json_document(workdir, text, fmt):
 @FUZZ
 @given(document=repeated_key_documents())
 def test_a_repeated_key_is_refused(workdir, document):
-    text, key = document
+    text, place, key = document
     path = workdir / "repeated.json"
     path.write_text(text, encoding="utf-8")
-    assert _analyze(path, "text") == (EXIT_USAGE, "", f"error: {path}: key {key!r} is repeated\n")
+    assert _analyze(path, "text") == (EXIT_USAGE, "", f"error: {path}{place}: key {key!r} is repeated\n")
 
 
 @FUZZ

@@ -13,7 +13,10 @@ Never regenerate them to make a change pass: a difference is a change in
 behavior and needs its own justification.
 """
 
+import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,16 @@ from harmbounds.cli import EXIT_OK, main
 from harmbounds.model import observables_from_joint, sample_joint
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+# The sha256 of the CLI's stdout on the benchmark's seed-1 inputs: `analyze
+# --format json` on the two generated studies and the harness's `verify`,
+# recorded before the strata were kept on the joint scale.
+SEED1_SHA256 = {
+    "fused_study": "5fe621be7ca45c4ded859737e29448646858e4e87bb9bca54df49c6eded22eeb",
+    "screening_study": "e891ebcfe2dc97557f5e17a3814038130b2494aded42d0f88b0b60194c85c62c",
+    "harness": "64ddf078a67fee0dc9141433cfd6d38dc76f57784601bdc51b4969982ac42152",
+}
 
 SAMPLE_SEEDS = range(8)
 # Constructed strata: P(A*=1) = 0 with a forced marginal, P(A*=1) = 1 with a
@@ -111,3 +124,31 @@ def test_output_matches_golden(argv, golden, capsys, monkeypatch):
     monkeypatch.setenv("HARMBOUNDS_COLOR", "never")
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def bench_workloads():
+    """The benchmark's input generator, imported from its file."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up by name
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("name", sorted(SEED1_SHA256))
+def test_benchmark_seed1_output_is_unchanged(name, bench_workloads, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HARMBOUNDS_COLOR", "never")
+    workload = bench_workloads.GENERATORS[name](1)
+    if name == "harness":
+        argv = ["verify", "--samples", str(workload.harness_samples), "--seed", str(workload.verify_seed)]
+    else:
+        study = tmp_path / "study.json"
+        study.write_bytes(workload.study_bytes)
+        argv = ["analyze", "--input", str(study), "--format", "json"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SEED1_SHA256[name]

@@ -12,10 +12,13 @@ from harmbounds import (
     compatibility_check,
     identify_stratum_risks,
     observables_from_joint,
+    sample_joint,
     true_estimands,
 )
 from harmbounds.identification import Stratum
 from harmbounds.lp_oracle import sharp_interval
+from harmbounds.model import ZERO, degenerate_grid
+from harmbounds.propositions import joint_levels
 
 from conftest import joints
 
@@ -116,25 +119,51 @@ class TestCompatibilityCheck:
 
 class TestIdentify:
     def test_demo_strata(self, demo_params):
-        assert EvidenceSet(*demo_params).strata == (
-            Stratum(0, F(3, 10), F(1), F(3, 10)),
-            Stratum(1, F(7, 10), F(3, 10), F(1)),
-        )
+        """Each stratum's (astar, mass, P(Y^1=1, A*=s), P(Y^0=1, A*=s))."""
+        assert [s[:4] for s in EvidenceSet(*demo_params).strata] == [
+            (0, F(3, 10), F(3, 10), F(9, 100)),
+            (1, F(7, 10), F(21, 100), F(7, 10)),
+        ]
 
     def test_experimental_only_is_one_population_stratum(self, demo_params):
         p0, _ = demo_params
-        assert EvidenceSet(p0).strata == (Stratum(None, F(1), p0.p_do1, p0.p_do0),)
+        assert EvidenceSet(p0).strata == (
+            Stratum(None, F(1), p0.p_do1, p0.p_do0, p0.p_do1 - p0.p_do0),
+        )
 
     def test_empty_stratum_is_omitted(self):
         p0 = ExperimentalParams(F(2, 7), F(3, 7))
         p1 = ObservationalParams(F(0), None, F(3, 7))
-        assert EvidenceSet(p0, p1).strata == (Stratum(0, F(1), F(2, 7), F(3, 7)),)
+        assert [s[:4] for s in EvidenceSet(p0, p1).strata] == [(0, F(1), F(2, 7), F(3, 7))]
 
     def test_incompatible_raises(self):
         p0 = ExperimentalParams(F(1, 10), F(1, 2))
         p1 = ObservationalParams(F(9, 10), F(9, 10), F(1, 2))
         with pytest.raises(IncompatibleEvidence, match="do\\(A=1\\)"):
             EvidenceSet(p0, p1).strata
+
+
+class TestJointScale:
+    def test_strata_and_bounds_read_the_joint(self):
+        """On every lattice joint of n = 6 and 1,000 sampled ones: each fused
+        stratum's joint numbers are the joint's own P(Y^a=1, A*=s), the fused
+        harm lower bound is Tian & Pearl's, and every bound end is a Fraction."""
+        for joint in degenerate_grid(6) + [sample_joint(seed) for seed in range(1000)]:
+            p0, p1 = observables_from_joint(joint)
+            p0_only, fused = joint_levels(joint)
+            for s in fused.evidence.strata:
+                assert s.mass == joint.mass(astar=s.astar)
+                assert s.joint1 == joint.mass(y1=1, astar=s.astar), joint
+                assert s.joint0 == joint.mass(y0=1, astar=s.astar), joint
+            p_y = sum(
+                mass * risk for mass, risk in ((p1.pi1, p1.q1), (1 - p1.pi1, p1.q0)) if mass
+            )
+            tian_pearl = max(ZERO, p_y - p0.p_do0) + max(ZERO, p0.p_do1 - p_y)
+            assert fused.bounds["harm"].lower == tian_pearl, joint
+            for lvl in (p0_only, fused):
+                for interval in lvl.bounds.values():
+                    if interval is not None:
+                        assert type(interval.lower) is Fraction is type(interval.upper), joint
 
 
 class TestIdentifyCate:

@@ -186,8 +186,9 @@ class TestRunHarness:
         assert all(r.instances_checked == constructed + 3 for r in reports)
 
 
-def _risk_class(risk):
-    return "0" if risk == 0 else "1" if risk == 1 else "interior"
+def _risk_class(joint, mass):
+    """The class of the risk joint / mass, read on the joint scale."""
+    return "0" if joint == 0 else "1" if joint == mass else "interior"
 
 
 def _sign(x):
@@ -200,11 +201,12 @@ def _sign_pattern(p0_only, fused):
     or interior) and the sign of the ATE.  The first element alone is the
     stratum pattern."""
     strata = tuple(
-        (s.astar, _risk_class(s.risk1), _risk_class(s.risk0), _sign(s.cate))
+        (s.astar, _risk_class(s.joint1, s.mass), _risk_class(s.joint0, s.mass), _sign(s.cate))
         for s in fused.evidence.strata
     )
     (marginal,) = p0_only.evidence.strata
-    return strata, (_risk_class(marginal.risk1), _risk_class(marginal.risk0), _sign(marginal.cate))
+    marginal_classes = (_risk_class(marginal.joint1, 1), _risk_class(marginal.joint0, 1))
+    return strata, marginal_classes + (_sign(marginal.cate),)
 
 
 class TestLattice:
