@@ -1,8 +1,8 @@
 """Sharp bounds on harm/benefit probabilities and treatment effects.
 
-Every bound is read from the strata of an `identification.EvidenceSet`,
-which keeps each on the joint scale, j_a = P(Y^a=1, A*=s), with its CATE
-and conditional bounds.  Harm within stratum s has the Frechet bounds
+Every interval is formed here from the strata of an `identification.EvidenceSet`,
+which keeps each one's joint numbers j_a = P(Y^a=1, A*=s), risks and CATE.
+Harm within stratum s has the Frechet bounds
 [max(0, j1 - j0), min(j1, P(A*=s) - j0)], and the marginal bounds are their
 sums.  With natural-choice data the lower bound is Tian & Pearl's
 max(0, P(y) - P(y|do(a0))) + max(0, P(y|do(a1)) - P(y)); without it, the one
@@ -12,11 +12,27 @@ independent LP oracle, which no runtime module imports.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable
 
-from .identification import EvidenceSet, Interval
+from .identification import EvidenceSet
 from .model import ONE, ZERO
+
+
+class Interval(namedtuple("Interval", "lower upper")):
+    """A lower/upper bound pair; sharpness is a contract, not a field."""
+
+    __slots__ = ()
+
+    def __new__(cls, lower: Fraction, upper: Fraction) -> "Interval":
+        if lower > upper:
+            raise ValueError(f"lower {lower} exceeds upper {upper}")
+        return super().__new__(cls, lower, upper)
+
+    def __contains__(self, value: object) -> bool:
+        return self.lower <= value <= self.upper  # type: ignore[operator]
+
 
 # The experimental data carry no information about A*, so without
 # natural-choice data each conditional ATE is the closure [-1, 1].
@@ -48,12 +64,14 @@ def benefit_bounds(evidence: EvidenceSet) -> Interval:
 
 def conditional_harm_bounds(evidence: EvidenceSet, astar: int) -> Interval:
     """Sharp bounds on P(harm | A*=astar): Frechet bounds on identified risks."""
-    return evidence.stratum(astar).harm_bounds
+    stratum = evidence.stratum(astar)
+    return Interval(max(ZERO, stratum.cate), min(stratum.risk1, ONE - stratum.risk0))
 
 
 def conditional_benefit_bounds(evidence: EvidenceSet, astar: int) -> Interval:
     """Sharp bounds on P(benefit | A*=astar)."""
-    return evidence.stratum(astar).benefit_bounds
+    stratum = evidence.stratum(astar)
+    return Interval(max(ZERO, -stratum.cate), min(stratum.risk0, ONE - stratum.risk1))
 
 
 def ate_bounds(evidence: EvidenceSet) -> Interval:
@@ -69,4 +87,5 @@ def cate_bounds(evidence: EvidenceSet, astar: int) -> Interval:
         raise ValueError(f"astar must be 0 or 1, got {astar!r}")
     if evidence.p1 is None:
         return VACUOUS_CATE
-    return evidence.stratum(astar).cate_bounds
+    cate = evidence.stratum(astar).cate
+    return Interval(cate, cate)

@@ -21,20 +21,6 @@ from .errors import IncompatibleEvidence, MissingObservational, NullStratum
 from .model import ExperimentalParams, ObservationalParams, ONE, ZERO
 
 
-class Interval(namedtuple("Interval", "lower upper")):
-    """A lower/upper bound pair; sharpness is a contract, not a field."""
-
-    __slots__ = ()
-
-    def __new__(cls, lower: Fraction, upper: Fraction) -> "Interval":
-        if lower > upper:
-            raise ValueError(f"lower {lower} exceeds upper {upper}")
-        return super().__new__(cls, lower, upper)
-
-    def __contains__(self, value: object) -> bool:
-        return self.lower <= value <= self.upper  # type: ignore[operator]
-
-
 class FusionReport(NamedTuple):
     """Outcome of checking that P0 and P1 can coexist under one joint."""
 
@@ -44,29 +30,15 @@ class FusionReport(NamedTuple):
 
 
 class Stratum(NamedTuple):
-    """A non-empty stratum on the joint scale, and its conditional bounds."""
+    """A non-empty stratum's identified numbers, from which `bounds` forms every interval."""
 
-    astar: Optional[int]  # None: the whole population, A* unmeasured; no conditional bounds
+    astar: Optional[int]  # None: the whole population, A* unmeasured
     mass: Fraction  # P(A*=astar)
     joint1: Fraction  # P(Y^{a=1}=1, A*=astar)
     joint0: Fraction  # P(Y^{a=0}=1, A*=astar)
     cate: Fraction  # the stratum's average treatment effect, point identified
-    cate_bounds: Optional[Interval] = None  # [cate, cate]
-    harm_bounds: Optional[Interval] = None  # sharp bounds on P(harm | A*=astar)
-    benefit_bounds: Optional[Interval] = None  # sharp bounds on P(benefit | A*=astar)
-
-
-def _stratum(
-    astar: int, mass: Fraction, joint1: Fraction, joint0: Fraction, risk1: Fraction, risk0: Fraction
-) -> Stratum:
-    """An A* stratum; with both risks (risk_a = joint_a / mass) identified, its
-    harm has the Frechet bounds [max(0, r1 - r0), min(r1, 1 - r0)]."""
-    cate = risk1 - risk0
-    return Stratum(
-        astar, mass, joint1, joint0, cate, Interval(cate, cate),
-        Interval(max(ZERO, cate), min(risk1, ONE - risk0)),
-        Interval(max(ZERO, -cate), min(risk0, ONE - risk1)),
-    )
+    risk1: Optional[Fraction] = None  # P(Y^{a=1}=1 | A*=astar); None for the whole population
+    risk0: Optional[Fraction] = None  # P(Y^{a=0}=1 | A*=astar)
 
 
 def compatibility_check(p0: ExperimentalParams, p1: ObservationalParams) -> FusionReport:
@@ -116,7 +88,7 @@ class EvidenceSet(namedtuple("EvidenceSet", "p0 p1 fusion strata")):
                     (0, mass0, p0.p_do1 - seen1, seen0, cross.get(0), p1.q0),
                     (1, p1.pi1, seen1, p0.p_do0 - seen0, p1.q1, cross.get(1)),
                 )
-                strata = tuple(_stratum(*s) for s in both if s[1])
+                strata = tuple(Stratum(s, m, j1, j0, r1 - r0, r1, r0) for s, m, j1, j0, r1, r0 in both if m)
         return super().__new__(cls, p0, p1, fusion, strata)
 
     def __getnewargs__(self) -> tuple:
@@ -145,10 +117,8 @@ class EvidenceSet(namedtuple("EvidenceSet", "p0 p1 fusion strata")):
 def identify_stratum_risks(
     p0: ExperimentalParams, p1: ObservationalParams, astar: int
 ) -> tuple[Fraction, Fraction]:
-    """Both potential-outcome death risks within the A*=astar stratum.
-
-    Returns (P(Y^{a=1}=1 | A*=astar), P(Y^{a=0}=1 | A*=astar)).
-    """
+    """Both potential-outcome death risks within the A*=astar stratum:
+    (P(Y^{a=1}=1 | A*=astar), P(Y^{a=0}=1 | A*=astar))."""
     stratum = EvidenceSet(p0, p1).stratum(astar)
-    return stratum.joint1 / stratum.mass, stratum.joint0 / stratum.mass
+    return stratum.risk1, stratum.risk0
 

@@ -25,9 +25,6 @@ from .model import (
     sample_joint,
 )
 
-PROPOSITIONS = ("P1", "P2", "P3", "P4")
-
-
 class Verdict(NamedTuple):
     """Harm detection outcome of one analytic school."""
 
@@ -206,13 +203,11 @@ def run_harness(n: int, seed: int) -> list[PropositionReport]:
     instances = itertools.chain(
         [demo_joint()], degenerate_grid(), (sample_joint(seed + i) for i in range(n))
     )
-    counterexamples: dict[str, list[tuple[JointDistribution, str]]] = {
-        name: [] for name in PROPOSITIONS
-    }
+    counterexamples: dict[str, list[tuple[JointDistribution, str]]] = {name: [] for name in _CHECKERS}
     for checked, joint in enumerate(instances, start=1):
         levels = joint_levels(joint)
-        for name in PROPOSITIONS:
-            details = _CHECKERS[name](*levels)
+        for name, check in _CHECKERS.items():
+            details = check(*levels)
             if details is not None:
                 counterexamples[name].append((joint, details))
     return [
@@ -221,5 +216,5 @@ def run_harness(n: int, seed: int) -> list[PropositionReport]:
             instances_checked=checked,
             counterexamples=tuple(counterexamples[name]),
         )
-        for name in PROPOSITIONS
+        for name in _CHECKERS
     ]

@@ -16,6 +16,8 @@ behavior and needs its own justification.
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -25,7 +27,8 @@ from harmbounds.cli import EXIT_OK, main
 from harmbounds.model import observables_from_joint, sample_joint
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
-BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_WORKLOADS = ROOT / "bench" / "workloads.py"
 
 # The sha256 of the CLI's stdout on the benchmark's seed-1 inputs: `analyze
 # --format json` on the two generated studies and the harness's `verify`,
@@ -152,3 +155,46 @@ def test_benchmark_seed1_output_is_unchanged(name, bench_workloads, tmp_path, ca
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SEED1_SHA256[name]
+
+
+# The spans that the benchmark's per-layer metrics are read from.  The traced
+# run finds each layer by its module-level name, so a layer that is renamed
+# or bypassed leaves its metrics at 0 without any error.
+TRACED_SPANS = {
+    "identification.compatibility_check",
+    "bounds.harm_bounds.p0",
+    "bounds.harm_bounds.fused",
+    "bounds.benefit_bounds.p0",
+    "bounds.benefit_bounds.fused",
+    "bounds.conditional_harm_bounds",
+    "bounds.cate_bounds",
+    "propositions.interventionist_verdict.p0",
+    "propositions.interventionist_verdict.fused",
+    "propositions.counterfactual_verdict.p0",
+    "propositions.counterfactual_verdict.fused",
+    "cli.parse_input",
+    "cli.analyze",
+    "cli.json_dump",
+}
+
+
+def test_benchmark_trace_sees_every_layer():
+    """`example` under the benchmark's own tracer, in a fresh interpreter
+    (the tracer rebinds module globals), records a span for every layer."""
+    code = (
+        "import contextlib, io, json\n"
+        "import traced_run\n"
+        "tracer = traced_run.Tracer()\n"
+        "traced_run.install(tracer)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = traced_run.cli.main(['example', '--format', 'json'])\n"
+        "print(json.dumps([code, sorted({span[0] for span in tracer.spans})]))\n"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")])
+    # No bytecode is written, so the run leaves bench/ as it found it.
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    code, spans = json.loads(result.stdout)
+    assert code == EXIT_OK
+    assert TRACED_SPANS <= set(spans), sorted(TRACED_SPANS - set(spans))

@@ -146,8 +146,10 @@ class TestIdentify:
 class TestJointScale:
     def test_strata_and_bounds_read_the_joint(self):
         """On every lattice joint of n = 6 and 1,000 sampled ones: each fused
-        stratum's joint numbers are the joint's own P(Y^a=1, A*=s), the fused
-        harm lower bound is Tian & Pearl's, and every bound end is a Fraction."""
+        stratum's joint numbers are the joint's own P(Y^a=1, A*=s), its risks
+        (also as `identify_stratum_risks` returns them) are those over its
+        mass, the fused harm lower bound is Tian & Pearl's, and every bound
+        end is a Fraction."""
         for joint in degenerate_grid(6) + [sample_joint(seed) for seed in range(1000)]:
             p0, p1 = observables_from_joint(joint)
             p0_only, fused = joint_levels(joint)
@@ -155,6 +157,9 @@ class TestJointScale:
                 assert s.mass == joint.mass(astar=s.astar)
                 assert s.joint1 == joint.mass(y1=1, astar=s.astar), joint
                 assert s.joint0 == joint.mass(y0=1, astar=s.astar), joint
+                risks = (joint.mass(y1=1, astar=s.astar) / s.mass, joint.mass(y0=1, astar=s.astar) / s.mass)
+                assert (s.risk1, s.risk0) == risks, joint
+                assert identify_stratum_risks(p0, p1, s.astar) == risks, joint
             p_y = sum(
                 mass * risk for mass, risk in ((p1.pi1, p1.q1), (1 - p1.pi1, p1.q0)) if mass
             )
