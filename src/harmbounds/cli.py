@@ -139,13 +139,15 @@ class StratumInput(NamedTuple):
         """The labels as `key=value` pairs joined by `;`, with each `\\`, `;`
         and `=` inside a key or value escaped by a backslash, so that two
         label sets never share a name.  The control characters U+0000-U+001F
-        and U+007F-U+009F, the line breaks U+2028 and U+2029, and the
-        bidirectional controls U+202A-U+202E and U+2066-U+2069 are written as
-        `\\xNN` or `\\uNNNN`, so a name never spans two lines, holds an ESC or
-        CSI, or reorders the rest of its line."""
-        return ";".join(
+        and U+007F-U+009F, the line breaks U+2028 and U+2029, the
+        bidirectional controls U+202A-U+202E and U+2066-U+2069, and the lone
+        surrogates U+D800-U+DFFF are written as `\\xNN` or `\\uNNNN`, so a name
+        never spans two lines, holds an ESC or CSI, reorders the rest of its
+        line, or cannot be written as UTF-8."""
+        name = ";".join(
             f"{k.translate(_NAME_ESCAPES)}={v.translate(_NAME_ESCAPES)}" for k, v in self.labels
         ) or "(unlabeled)"
+        return name.encode("utf-8", "backslashreplace").decode()  # only surrogates fail to encode
 
 
 class StudyInput(namedtuple("StudyInput", "strata")):
@@ -810,6 +812,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BrokenPipeError:
         # The reader stopped early (`| head`): quiet the interpreter's last flush.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+    except OSError as exc:
+        # stdout refused the report (a full disk): drop what it still holds, as above.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
 
 

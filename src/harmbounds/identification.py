@@ -4,11 +4,12 @@ Everything rests on one identity per arm a:
 
     P(Y=1|do(A=a)) = P(Y=1, A*=a) + P(Y^a=1, A*≠a).
 
-Each stratum s keeps its mass P(A*=s) and its joint numbers P(Y^a=1, A*=s):
-the observed P(Y=1, A*=s) in arm s, and P(Y=1|do(A=a)) minus the other
-stratum's observed term in the other arm.  The sources are compatible
-exactly when each joint number lies in [0, P(A*=s)].  Without natural-choice
-data the one stratum is the whole population, with the experimental risks.
+`compatibility_check` alone solves it and returns the strata with its report.
+Stratum s keeps its mass P(A*=s) and its joint numbers P(Y^a=1, A*=s): the
+observed P(Y=1, A*=s) in arm s, and P(Y=1|do(A=a)) minus the other stratum's
+observed term in the other arm, each in [0, P(A*=s)] exactly when the sources
+are compatible.  Without natural-choice data the one stratum is the whole
+population, with the experimental risks.
 """
 
 from __future__ import annotations
@@ -19,14 +20,6 @@ from typing import Mapping, NamedTuple, Optional
 
 from .errors import IncompatibleEvidence, MissingObservational, NullStratum
 from .model import ExperimentalParams, ObservationalParams, ONE, ZERO
-
-
-class FusionReport(NamedTuple):
-    """Outcome of checking that P0 and P1 can coexist under one joint."""
-
-    compatible: bool
-    violations: tuple[str, ...]
-    derived_cross_risks: Mapping[int, Fraction]  # astar -> P(Y^{1-astar}=1 | A*=astar)
 
 
 class Stratum(NamedTuple):
@@ -41,25 +34,42 @@ class Stratum(NamedTuple):
     risk0: Optional[Fraction] = None  # P(Y^{a=0}=1 | A*=astar)
 
 
+class FusionReport(NamedTuple):
+    """Outcome of checking that P0 and P1 can coexist under one joint."""
+
+    compatible: bool
+    violations: tuple[str, ...]
+    derived_cross_risks: Mapping[int, Fraction]  # astar -> P(Y^{1-astar}=1 | A*=astar)
+    strata: Optional[tuple[Stratum, ...]]  # the non-empty strata in A* order; None if incompatible
+
+
 def compatibility_check(p0: ExperimentalParams, p1: ObservationalParams) -> FusionReport:
-    """Solve the identity for each arm; incompatibility is a report, not an error."""
+    """Solve the identity once for each arm; incompatibility is a report, not an error."""
     violations: list[str] = []
     cross: dict[int, Fraction] = {}
+    seen, other = [ZERO, ZERO], [ZERO, ZERO]  # by arm
     mass0 = ONE - p1.pi1
     for arm, p_do, mass, rest, risk in (
         (1, p0.p_do1, p1.pi1, mass0, p1.q1),
         (0, p0.p_do0, mass0, p1.pi1, p1.q0),
     ):
-        seen = ZERO if risk is None else mass * risk  # P(Y=1, A*=arm)
-        other = p_do - seen  # P(Y^arm=1, A*≠arm), in [0, P(A*≠arm)] when compatible
-        if risk is not None and not ZERO <= other <= rest:
+        seen[arm] = ZERO if risk is None else mass * risk  # P(Y=1, A*=arm)
+        other[arm] = p_do - seen[arm]  # P(Y^arm=1, A*≠arm), in [0, P(A*≠arm)] when compatible
+        if risk is not None and not ZERO <= other[arm] <= rest:
             violations.append(
-                f"P(Y=1|do(A={arm})) = {p_do} outside [{seen}, {seen + rest}] "
+                f"P(Y=1|do(A={arm})) = {p_do} outside [{seen[arm]}, {seen[arm] + rest}] "
                 f"implied by P(A*={arm}) = {mass}, P(Y=1|A*={arm}) = {risk}"
             )
         if rest:
-            cross[1 - arm] = other / rest
-    return FusionReport(not violations, tuple(violations), cross)
+            cross[1 - arm] = other[arm] / rest
+    strata = None
+    if not violations:
+        both = (
+            (0, mass0, other[1], seen[0], cross.get(0), p1.q0),
+            (1, p1.pi1, seen[1], other[0], p1.q1, cross.get(1)),
+        )
+        strata = tuple(Stratum(s, m, j1, j0, r1 - r0, r1, r0) for s, m, j1, j0, r1, r0 in both if m)
+    return FusionReport(not violations, tuple(violations), cross, strata)
 
 
 class EvidenceSet(namedtuple("EvidenceSet", "p0 p1 fusion strata")):
@@ -74,22 +84,11 @@ class EvidenceSet(namedtuple("EvidenceSet", "p0 p1 fusion strata")):
     def __new__(
         cls, p0: ExperimentalParams, p1: Optional[ObservationalParams] = None
     ) -> "EvidenceSet":
-        fusion = strata = None
         if p1 is None:
             strata = (Stratum(None, ONE, p0.p_do1, p0.p_do0, p0.p_do1 - p0.p_do0),)
-        else:
-            fusion = compatibility_check(p0, p1)
-            if fusion.compatible:
-                cross = fusion.derived_cross_risks
-                mass0 = ONE - p1.pi1
-                seen1 = ZERO if p1.q1 is None else p1.pi1 * p1.q1  # P(Y=1, A*=1)
-                seen0 = ZERO if p1.q0 is None else mass0 * p1.q0  # P(Y=1, A*=0)
-                both = (
-                    (0, mass0, p0.p_do1 - seen1, seen0, cross.get(0), p1.q0),
-                    (1, p1.pi1, seen1, p0.p_do0 - seen0, p1.q1, cross.get(1)),
-                )
-                strata = tuple(Stratum(s, m, j1, j0, r1 - r0, r1, r0) for s, m, j1, j0, r1, r0 in both if m)
-        return super().__new__(cls, p0, p1, fusion, strata)
+            return super().__new__(cls, p0, p1, None, strata)
+        fusion = compatibility_check(p0, p1)
+        return super().__new__(cls, p0, p1, fusion, fusion.strata)
 
     def __getnewargs__(self) -> tuple:
         return self.p0, self.p1

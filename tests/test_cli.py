@@ -284,6 +284,18 @@ class TestParseInput:
         controls = [*range(0x80, 0xA0), *range(0x202A, 0x202F), *range(0x2066, 0x206A)]
         assert not any(chr(c) in text for c in controls)
 
+    def test_lone_surrogate_in_a_label_is_escaped(self, tmp_path, monkeypatch):
+        """`"\\ud800"` is valid JSON but no UTF-8 stream takes the lone
+        surrogate it decodes to, so the text heading writes it as `\\ud800`,
+        apart from a label that spells out that backslash sequence."""
+        monkeypatch.setenv("HARMBOUNDS_COLOR", "never")
+        raw = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", newline="\n"))
+        payload = {"strata": [{**DEMO_STRATUM, "labels": {"a": "\ud800", "b": "\\udfff"}}]}
+        assert main(["analyze", "--input", write_json(tmp_path, payload), "--format", "text"]) == EXIT_OK
+        sys.stdout.flush()
+        assert "Stratum a=\\ud800;b=\\\\udfff\n" in raw.getvalue().decode("utf-8")
+
     def test_csv_round(self, tmp_path):
         path = tmp_path / "study.csv"
         path.write_text(
@@ -543,6 +555,23 @@ class TestMain:
             os.close(write_end)
         assert result.returncode == EXIT_USAGE
         assert result.stderr == ""  # no traceback, no "Exception ignored" line
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv", [["example", "--format", "json"], ["verify", "--samples", "3"]], ids=["example", "verify"]
+    )
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_full_stdout_is_one_error_line(self, argv, unbuffered):
+        """A write that fails (a full disk) ends in one error line and exit 1,
+        with stdout buffered or not, and no "Exception ignored" line."""
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "harmbounds.cli", *argv],
+                env=dict(src_env(), PYTHONUNBUFFERED=unbuffered),
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        assert result.returncode == EXIT_USAGE
+        assert [line.split(":")[:2] for line in result.stderr.splitlines()] == [["error", " cannot write output"]]
 
     def test_verify_small_run(self, capsys):
         assert main(["verify", "--samples", "30", "--seed", "42"]) == EXIT_OK

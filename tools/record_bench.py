@@ -54,13 +54,19 @@ def commit_of(checkout: Path) -> tuple[str, bool]:
     return git("rev-parse", "HEAD"), bool(git("status", "--porcelain", "--untracked-files=no"))
 
 
+def summary_counts(summary: str) -> dict:
+    """The counts of a pytest summary line by kind; `1 error` and `2 errors` both count as `errors`."""
+    found = re.findall(r"(\d+) (passed|failed|errors?|skipped|x\w+)", summary)
+    return {"errors" if kind == "error" else kind: int(n) for n, kind in found}
+
+
 def tier1(checkout: Path) -> dict:
     """The pytest summary counts and the wall time of one tier-1 run."""
     began = time.perf_counter()
     run = subprocess.run(TIER1, cwd=checkout, env=_env(checkout), capture_output=True, text=True)
     wall_s = time.perf_counter() - began
     summary = run.stdout.strip().splitlines()[-1] if run.stdout.strip() else ""
-    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|errors?|skipped|x\w+)", summary)}
+    counts = summary_counts(summary)
     return {"passed": counts.get("passed", 0), "counts": counts, "exit_code": run.returncode,
             "wall_s": round(wall_s, 2), "summary": summary}
 
