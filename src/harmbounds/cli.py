@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 from . import bounds as bounds_mod
 from . import propositions
 from .errors import (
-    IncompatibleEvidence,
+    HarmboundsError,
     ParseError,
     ValidationError,
 )
@@ -276,11 +276,13 @@ def _labels_from_mapping(raw: object, where: str) -> tuple[tuple[str, str], ...]
 
 
 def _read_text(path: str) -> str:
-    """The text of a UTF-8 file without its byte order mark, if it has one;
-    other bytes, or a failed read, end in a ParseError."""
+    """The text of a UTF-8 file or pipe without its byte order mark, if it
+    has one; other bytes, a missing path, or a failed read, end in a ParseError."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
+    except FileNotFoundError:
+        raise ParseError(f"no such file: {path}") from None
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc.strerror}") from None
     try:
@@ -438,8 +440,6 @@ def _parse_csv_input(path: str) -> tuple[StratumInput, ...]:
 
 def parse_input(path: str) -> StudyInput:
     """A CSV study when the path ends in .csv, a JSON one otherwise."""
-    if not os.path.isfile(path):
-        raise ParseError(f"no such file: {path}")
     parse = _parse_csv_input if path.lower().endswith(".csv") else _parse_json_input
     strata = parse(path)
     try:
@@ -781,11 +781,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command in ("analyze", "example"):
-            study = parse_input(args.input) if args.command == "analyze" else _demo_study()
-            report = analyze(study)
-            _emit_report(report, args.format, sys.stdout)
-            return EXIT_ALL_INCOMPATIBLE if all(sr.incompatible for sr in report) else EXIT_OK
         if args.command == "verify":
             if args.samples < 1:
                 raise ParseError("--samples must be at least 1")
@@ -802,13 +797,13 @@ def main(argv: Optional[list[str]] = None) -> int:
                 )
             sys.stdout.flush()
             return status
-        raise AssertionError(f"unhandled command {args.command!r}")
-    except (ParseError, ValidationError, ValueError) as exc:
+        study = parse_input(args.input) if args.command == "analyze" else _demo_study()
+        report = analyze(study)
+        _emit_report(report, args.format, sys.stdout)
+        return EXIT_ALL_INCOMPATIBLE if all(sr.incompatible for sr in report) else EXIT_OK
+    except (HarmboundsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except IncompatibleEvidence as exc:
-        print(f"error: incompatible evidence: {exc}", file=sys.stderr)
-        return EXIT_ALL_INCOMPATIBLE
     except BrokenPipeError:
         # The reader stopped early (`| head`): quiet the interpreter's last flush.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -14,6 +14,7 @@ import pytest
 from harmbounds import (
     ExperimentalParams,
     JointDistribution,
+    NullStratum,
     ObservationalParams,
     ParseError,
     ValidationError,
@@ -520,6 +521,7 @@ class TestMain:
     def test_usage_errors(self, capsys, tmp_path):
         assert main(["analyze", "--input", "/missing.json"]) == EXIT_USAGE
         assert main(["analyze", "--input", str(tmp_path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {tmp_path}: cannot read: Is a directory"
         assert main(["verify", "--samples", "0"]) == EXIT_USAGE
         assert main(["frobnicate"]) == EXIT_USAGE
         path = tmp_path / "bad.json"
@@ -538,6 +540,28 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}: cannot read: Input/output error\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_piped_study_is_read(self):
+        """A study piped to `--input /dev/stdin` is read as JSON, as its file would be."""
+        study = Path(__file__).resolve().parents[1] / "src" / "harmbounds" / "data" / "example_study.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "harmbounds.cli", "analyze", "--input", "/dev/stdin", "--format", "json"],
+            env=src_env(), input=study.read_bytes(), capture_output=True, timeout=60,
+        )
+        assert (result.returncode, result.stderr) == (EXIT_OK, b"")
+        assert result.stdout == (GOLDEN / "example.json").read_bytes()
+
+    def test_any_library_error_is_one_error_line(self, capsys, monkeypatch):
+        """An error the library raises past the parser ends in one line and exit 1."""
+
+        def null_stratum(study):
+            raise NullStratum("P(A*=1) = 0")
+
+        monkeypatch.setattr("harmbounds.cli.analyze", null_stratum)
+        assert main(["example"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: P(A*=1) = 0\n"
 
     @pytest.mark.parametrize(
         "argv", [["example", "--format", "json"], ["verify", "--samples", "20"]], ids=["example", "verify"]
@@ -1163,6 +1187,8 @@ class TestInputBoundary:
                 CSV_HEADER + "a=1;b=2,51,100,79,100,,,,\nb=2;a=1,1,2,1,2,,,,\n",
                 "duplicate stratum label 'b=2;a=1'",
             ),
+            ("study.csv", "", "empty file"),
+            ("study.json", '{"strata": ' + "[" * 100_000 + "]" * 100_000 + "}", "JSON nested too deeply"),
         ],
         ids=[
             "no-strata-json",
@@ -1171,6 +1197,8 @@ class TestInputBoundary:
             "duplicate-csv",
             "key-order-json",
             "key-order-csv",
+            "empty-csv",
+            "nested-too-deeply-json",
         ],
     )
     def test_study_errors_name_the_file(self, name, text, message, tmp_path, capsys):
@@ -1189,14 +1217,35 @@ class TestInputBoundary:
                 {"p_do1": "1/2", "p_do0": "1/2", "pi1": "0", "q1": "1/2", "q0": "1/2"},
                 ": q1 must be undefined when P(A*=1) = 0",
             ),
+            ([1], ": parameters must be an object"),
+            ({"p_do1": "1/2", "p_do0": "1/2", "pi1": "1/2", "q0": "1/2"}, ": q1 required when P(A*=1) > 0"),
+            (
+                {"p_do1": "1/2", "p_do0": "1/2", "pi1": "1", "q1": "1/2", "q0": "1/2"},
+                ": q0 must be undefined when P(A*=0) = 0",
+            ),
         ],
-        ids=["out-of-range", "missing", "pi1-zero-with-q1"],
+        ids=["out-of-range", "missing", "pi1-zero-with-q1", "not-an-object", "pi1-half-without-q1", "pi1-one-with-q0"],
     )
     def test_bad_parameter_branches(self, parameters, message, tmp_path, capsys):
         path = write_json(tmp_path, {"strata": [{"labels": {"sex": "men"}, "parameters": parameters}]})
         assert main(["analyze", "--input", path]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {path}, stratum 0{message}\n"
+
+    def test_csv_field_over_the_field_limit_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "study.csv"
+        path.write_text(CSV_HEADER + "sex=" + "m" * 200_000 + ",51,100,79,100,,,,\n")
+        assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {path}, line 2: field larger than field limit")
+
+    def test_csv_blank_rows_are_skipped(self, tmp_path, capsys):
+        header, row = (GOLDEN / "example_study.csv").read_text().splitlines(keepends=True)
+        path = tmp_path / "study.csv"
+        path.write_text(header + "\n" + ",,,\n" + row)
+        assert main(["analyze", "--input", str(path), "--format", "json"]) == EXIT_OK
+        assert capsys.readouterr().out == (GOLDEN / "example.json").read_text()
 
     def test_csv_counts_may_be_padded(self, tmp_path):
         path = tmp_path / "study.csv"

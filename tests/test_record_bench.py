@@ -1,6 +1,7 @@
-"""The tier-1 summary parse of tools/record_bench.py, imported from its file."""
+"""tools/record_bench.py, imported from its file: the tier-1 summary parse and the paired runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -27,3 +28,33 @@ def record_bench():
 def test_errors_are_counted_under_one_key(record_bench, summary, counts):
     """pytest writes `1 error` but `2 errors`; two records compare on `errors`."""
     assert record_bench.summary_counts(summary) == counts
+
+
+def test_pair_with_pairs_every_workload(record_bench, tmp_path, monkeypatch):
+    """`--pair-with` times alternating pairs of every workload, the change
+    first in even pairs, and records each under `pairs.workloads`."""
+    change, base = tmp_path / "change", tmp_path / "base"
+    change.mkdir()
+    base.mkdir()
+    calls = []
+
+    def bench(checkout, workload, seed, seconds, trace):
+        calls.append((checkout.name, workload, trace))
+        items_per_s = 110.0 if checkout == change else 100.0
+        return {"metrics": {"items_per_s": {"value": items_per_s}}, "failed": 0}
+
+    monkeypatch.setattr(record_bench, "bench", bench)
+    monkeypatch.setattr(record_bench, "tier1", lambda checkout: {"summary": "1 passed in 0.01s"})
+    out = tmp_path / "BENCH.json"
+    argv = ["--pr", "0", "--checkout", str(change), "--pair-with", str(base), "--pairs", "3", "--out", str(out)]
+    assert record_bench.main(argv) == 0
+
+    pairs = json.loads(out.read_text())["pairs"]
+    assert list(pairs["workloads"]) == list(record_bench.WORKLOADS)
+    for recorded in pairs["workloads"].values():
+        assert [run["first"] for run in recorded["runs"]] == ["change", "base", "change"]
+        assert recorded["median_items_per_s_change"] == pytest.approx(0.1)
+    order = ["change", "base", "base", "change", "change", "base"]
+    assert calls[2 * len(record_bench.WORKLOADS):] == [
+        (tree, workload, 0) for workload in record_bench.WORKLOADS for tree in order
+    ]

@@ -11,8 +11,8 @@ metric with its unit, ``attempted`` and ``failed``.
 
 A speed claim compares two trees on the same machine, and which tree runs
 second in a pair moves the figures, so ``--pair-with DIR --pairs K`` then
-times K pairs of ``--trace 0`` fused_study runs, the checkout and DIR
-alternately first, and adds them to the file under ``pairs``.
+times K pairs of ``--trace 0`` runs of each workload, the checkout and DIR
+alternately first, and adds them to the file under ``pairs.workloads``.
 
 Only the standard library is used; nothing under ``bench/`` is changed.
 """
@@ -33,7 +33,6 @@ from pathlib import Path
 WORKLOADS = ("fused_study", "screening_study", "harness")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 ENVIRONMENT = ("PYTHONUNBUFFERED", "PYTHONDONTWRITEBYTECODE")  # both move the end-to-end figures
-PAIR_WORKLOAD = "fused_study"  # the workload whose items_per_s a gain is claimed on
 
 
 def _env(checkout: Path) -> dict:
@@ -134,15 +133,13 @@ def main(argv=None) -> int:
             record["workloads"][workload][f"trace{trace}"] = result
     if args.pair_with:
         base = args.pair_with.resolve()
-        runs = pairs(checkout, base, PAIR_WORKLOAD, args.seed, args.seconds, args.pairs)
-        ratios = [r["change"]["items_per_s"] / r["base"]["items_per_s"] - 1 for r in runs]
-        record["pairs"] = {
-            "workload": PAIR_WORKLOAD,
-            "base_commit": args.pair_commit or commit_of(base)[0],
-            "median_items_per_s_change": statistics.median(ratios),
-            "runs": runs,
-        }
-        print(f"median items_per_s change {statistics.median(ratios):+.1%} over {len(runs)} pairs")
+        record["pairs"] = {"base_commit": args.pair_commit or commit_of(base)[0], "workloads": {}}
+        for workload in WORKLOADS:
+            print(f"{workload} pairs ...", flush=True)
+            runs = pairs(checkout, base, workload, args.seed, args.seconds, args.pairs)
+            median = statistics.median(r["change"]["items_per_s"] / r["base"]["items_per_s"] - 1 for r in runs)
+            record["pairs"]["workloads"][workload] = {"median_items_per_s_change": median, "runs": runs}
+            print(f"{workload}: median items_per_s change {median:+.1%} over {len(runs)} pairs", flush=True)
     out = args.out or checkout / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
