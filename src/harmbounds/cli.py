@@ -45,6 +45,9 @@ EXIT_COUNTEREXAMPLE = 3
 
 # Longest accepted rational parameter; longer text is refused before any arithmetic.
 MAX_RATIONAL_CHARS = 100
+# Largest accepted study, about 200,000 strata of JSON; a longer one is an error.
+MAX_INPUT_BYTES = 64 * 1024 * 1024
+_READ_CHUNK = 64 * 1024
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+|/[0-9]+)?")
 # Rounds inexact decimals; its flags are set by every division and never read.
 _SIX_DIGITS = Context(prec=6)
@@ -277,14 +280,21 @@ def _labels_from_mapping(raw: object, where: str) -> tuple[tuple[str, str], ...]
 
 def _read_text(path: str) -> str:
     """The text of a UTF-8 file or pipe without its byte order mark, if it
-    has one; other bytes, a missing path, or a failed read, end in a ParseError."""
+    has one; other bytes, a missing path, a failed read, or more than
+    MAX_INPUT_BYTES bytes, end in a ParseError."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            # One read at a time: a pipe's bytes are taken as they come, and no
+            # buffer the size of the limit is allocated for a small study.
+            data = bytearray()
+            while chunk := fh.read1(min(_READ_CHUNK, MAX_INPUT_BYTES + 1 - len(data))):
+                data += chunk
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}") from None
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc.strerror}") from None
+    if len(data) > MAX_INPUT_BYTES:
+        raise ParseError(f"{path}: input is larger than {MAX_INPUT_BYTES} bytes")
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:

@@ -1,37 +1,44 @@
-"""Fusion compatibility and identification of the A* strata, on the joint scale.
+"""Fusion compatibility and identification of the A* strata, in integers over one scale.
 
 Everything rests on one identity per arm a:
 
     P(Y=1|do(A=a)) = P(Y=1, A*=a) + P(Y^a=1, A*≠a).
 
-`compatibility_check` alone solves it and returns the strata with its report.
-Stratum s keeps its mass P(A*=s) and its joint numbers P(Y^a=1, A*=s): the
+`compatibility_check` alone solves it, in `int` over one common denominator
+`scale`, and returns the strata with its report.  Stratum s keeps its mass
+P(A*=s) and its joint numbers P(Y^a=1, A*=s) as numerators over `scale`: the
 observed P(Y=1, A*=s) in arm s, and P(Y=1|do(A=a)) minus the other stratum's
 observed term in the other arm, each in [0, P(A*=s)] exactly when the sources
 are compatible.  Without natural-choice data the one stratum is the whole
-population, with the experimental risks.
+population, with the experimental risks.  A `Fraction` is formed only for a
+number that is reported: a CATE, a risk, a cross risk or a violation text.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import IncompatibleEvidence, MissingObservational, NullStratum
-from .model import ExperimentalParams, ObservationalParams, ONE, ZERO
+from .model import ExperimentalParams, ObservationalParams
 
 
 class Stratum(NamedTuple):
-    """A non-empty stratum's identified numbers, from which `bounds` forms every interval."""
+    """A non-empty stratum's identified numbers, integer numerators over
+    `scale`, from which `bounds` forms every interval."""
 
     astar: Optional[int]  # None: the whole population, A* unmeasured
-    mass: Fraction  # P(A*=astar)
-    joint1: Fraction  # P(Y^{a=1}=1, A*=astar)
-    joint0: Fraction  # P(Y^{a=0}=1, A*=astar)
-    cate: Fraction  # the stratum's average treatment effect, point identified
-    risk1: Optional[Fraction] = None  # P(Y^{a=1}=1 | A*=astar); None for the whole population
-    risk0: Optional[Fraction] = None  # P(Y^{a=0}=1 | A*=astar)
+    scale: int  # the common denominator of every stratum of an EvidenceSet
+    mass: int  # P(A*=astar)·scale, positive
+    joint1: int  # P(Y^{a=1}=1, A*=astar)·scale
+    joint0: int  # P(Y^{a=0}=1, A*=astar)·scale
+
+    @property
+    def cate(self) -> Fraction:
+        """The stratum's average treatment effect, point identified."""
+        return Fraction(self.joint1 - self.joint0, self.mass)
 
 
 class FusionReport(NamedTuple):
@@ -45,30 +52,32 @@ class FusionReport(NamedTuple):
 
 def compatibility_check(p0: ExperimentalParams, p1: ObservationalParams) -> FusionReport:
     """Solve the identity once for each arm; incompatibility is a report, not an error."""
+    pi1 = p1.pi1
+    dens = [pi1.denominator * q.denominator for q in (p1.q1, p1.q0) if q is not None]
+    scale = lcm(p0.p_do1.denominator, p0.p_do0.denominator, *dens)
+    mass1 = pi1.numerator * (scale // pi1.denominator)
+    masses = (scale - mass1, mass1)  # by arm
     violations: list[str] = []
     cross: dict[int, Fraction] = {}
-    seen, other = [ZERO, ZERO], [ZERO, ZERO]  # by arm
-    mass0 = ONE - p1.pi1
-    for arm, p_do, mass, rest, risk in (
-        (1, p0.p_do1, p1.pi1, mass0, p1.q1),
-        (0, p0.p_do0, mass0, p1.pi1, p1.q0),
-    ):
-        seen[arm] = ZERO if risk is None else mass * risk  # P(Y=1, A*=arm)
-        other[arm] = p_do - seen[arm]  # P(Y^arm=1, A*≠arm), in [0, P(A*≠arm)] when compatible
-        if risk is not None and not ZERO <= other[arm] <= rest:
+    seen, other = [0, 0], [0, 0]  # by arm
+    for arm, p_do, risk in ((1, p0.p_do1, p1.q1), (0, p0.p_do0, p1.q0)):
+        mass, rest = masses[arm], masses[1 - arm]
+        if risk is not None:  # P(Y=1, A*=arm); exact, as scale is a multiple of den(π_arm)·den(q_arm)
+            seen[arm] = mass * risk.numerator // risk.denominator
+        # P(Y^arm=1, A*≠arm), in [0, P(A*≠arm)] when compatible
+        other[arm] = p_do.numerator * (scale // p_do.denominator) - seen[arm]
+        if risk is not None and not 0 <= other[arm] <= rest:
             violations.append(
-                f"P(Y=1|do(A={arm})) = {p_do} outside [{seen[arm]}, {seen[arm] + rest}] "
-                f"implied by P(A*={arm}) = {mass}, P(Y=1|A*={arm}) = {risk}"
+                f"P(Y=1|do(A={arm})) = {p_do} outside [{Fraction(seen[arm], scale)}, "
+                f"{Fraction(seen[arm] + rest, scale)}] implied by P(A*={arm}) = "
+                f"{Fraction(mass, scale)}, P(Y=1|A*={arm}) = {risk}"
             )
         if rest:
-            cross[1 - arm] = other[arm] / rest
+            cross[1 - arm] = Fraction(other[arm], rest)
     strata = None
     if not violations:
-        both = (
-            (0, mass0, other[1], seen[0], cross.get(0), p1.q0),
-            (1, p1.pi1, seen[1], other[0], p1.q1, cross.get(1)),
-        )
-        strata = tuple(Stratum(s, m, j1, j0, r1 - r0, r1, r0) for s, m, j1, j0, r1, r0 in both if m)
+        both = ((0, masses[0], other[1], seen[0]), (1, mass1, seen[1], other[0]))
+        strata = tuple(Stratum(s, scale, m, j1, j0) for s, m, j1, j0 in both if m)
     return FusionReport(not violations, tuple(violations), cross, strata)
 
 
@@ -85,7 +94,11 @@ class EvidenceSet(namedtuple("EvidenceSet", "p0 p1 fusion strata")):
         cls, p0: ExperimentalParams, p1: Optional[ObservationalParams] = None
     ) -> "EvidenceSet":
         if p1 is None:
-            strata = (Stratum(None, ONE, p0.p_do1, p0.p_do0, p0.p_do1 - p0.p_do0),)
+            p_do1, p_do0 = p0
+            scale = lcm(p_do1.denominator, p_do0.denominator)
+            joint1 = p_do1.numerator * (scale // p_do1.denominator)
+            joint0 = p_do0.numerator * (scale // p_do0.denominator)
+            strata = (Stratum(None, scale, scale, joint1, joint0),)
             return super().__new__(cls, p0, p1, None, strata)
         fusion = compatibility_check(p0, p1)
         return super().__new__(cls, p0, p1, fusion, fusion.strata)
@@ -119,5 +132,4 @@ def identify_stratum_risks(
     """Both potential-outcome death risks within the A*=astar stratum:
     (P(Y^{a=1}=1 | A*=astar), P(Y^{a=0}=1 | A*=astar))."""
     stratum = EvidenceSet(p0, p1).stratum(astar)
-    return stratum.risk1, stratum.risk0
-
+    return Fraction(stratum.joint1, stratum.mass), Fraction(stratum.joint0, stratum.mass)

@@ -13,6 +13,7 @@ import itertools
 import random
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, NamedTuple, Optional, Union
 
 ZERO = Fraction(0)
@@ -143,14 +144,16 @@ def observables_from_joint(
     """Observable parameters of both data sources under one shared joint.
 
     The experiment identifies the marginal do-risks; the natural-choice data
-    identify P(A*=1) and the within-stratum risk of the arm actually taken.
+    identify P(A*=1) and the within-stratum risk of the arm actually taken,
+    each a sum of the atoms' integer weights over the lcm of their denominators.
     """
-    p_do1 = joint.mass(y1=1)
-    p_do0 = joint.mass(y0=1)
-    pi1 = joint.mass(astar=1)
-    q1 = joint.mass(y1=1, astar=1) / pi1 if pi1 > 0 else None
-    q0 = joint.mass(y0=1, astar=0) / (1 - pi1) if pi1 < 1 else None
-    return ExperimentalParams(p_do1, p_do0), ObservationalParams(pi1, q1, q0)
+    scale = lcm(*(p.denominator for p in joint.atoms))
+    w = [p.numerator * (scale // p.denominator) for p in joint.atoms]  # at 4·y0 + 2·y1 + astar
+    treated = sum(w[1::2])  # A*=1
+    p0 = ExperimentalParams(Fraction(sum(w[2:4] + w[6:]), scale), Fraction(sum(w[4:]), scale))
+    q1 = Fraction(w[3] + w[7], treated) if treated else None  # P(Y^1=1 | A*=1)
+    q0 = Fraction(w[4] + w[6], scale - treated) if treated < scale else None  # P(Y^0=1 | A*=0)
+    return p0, ObservationalParams(Fraction(treated, scale), q1, q0)
 
 
 def true_estimands(joint: JointDistribution) -> Estimands:

@@ -48,7 +48,7 @@ def interventionist_verdict(evidence: bounds_mod.EvidenceSet) -> Verdict:
     A* strata and their ATEs are point identified.
     """
     for stratum in evidence.strata:
-        if stratum.cate > 0:
+        if stratum.joint1 > stratum.joint0:
             witness = "marginal ATE" if stratum.astar is None else f"ATE | A*={stratum.astar}"
             return Verdict("interventionist", True, witness, stratum.cate)
     return Verdict("interventionist", False)
@@ -173,9 +173,10 @@ def check_prop4(p0_only: Level, fused: Level) -> Optional[str]:
     if len(fused.evidence.strata) < 2:
         return None
     improved = fused.bounds["harm"].lower > p0_only.bounds["harm"].lower
-    cate0, cate1 = (s.cate for s in fused.evidence.strata)
-    opposite = (cate0 > 0 > cate1) or (cate1 > 0 > cate0)
+    effect0, effect1 = (s.joint1 - s.joint0 for s in fused.evidence.strata)  # each CATE's sign
+    opposite = (effect0 > 0 > effect1) or (effect1 > 0 > effect0)
     if improved != opposite:
+        cate0, cate1 = (s.cate for s in fused.evidence.strata)
         return (
             f"lower bound improved={improved} but opposite-sign stratum ATEs="
             f"{opposite} (ATE|A*=0 is {cate0}, ATE|A*=1 is {cate1})"

@@ -30,6 +30,7 @@ from harmbounds.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_INPUT_BYTES,
     MAX_RATIONAL_CHARS,
     StratumInput,
     StudyInput,
@@ -670,6 +671,62 @@ def _without_untreated():
     payload = json.loads(json.dumps(DEMO_COUNTS))
     del payload["strata"][0]["experimental"]["untreated"]
     return payload
+
+
+class TestInputLimit:
+    """A study is read to at most `MAX_INPUT_BYTES` + 1 bytes; a longer one
+    ends in one `error:` line and exit code 1, however it arrives."""
+
+    def test_file_at_the_limit_is_read_and_one_byte_longer_is_refused(self, capsys, tmp_path, monkeypatch):
+        path = write_json(tmp_path, DEMO_COUNTS)
+        size = os.path.getsize(path)
+        monkeypatch.setattr("harmbounds.cli.MAX_INPUT_BYTES", size)
+        assert main(["analyze", "--input", path]) == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr("harmbounds.cli.MAX_INPUT_BYTES", size - 1)
+        assert main(["analyze", "--input", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: input is larger than {size - 1} bytes\n"
+
+    def test_small_study_is_read_without_a_buffer_the_size_of_the_limit(self, tmp_path):
+        path = write_json(tmp_path, DEMO_COUNTS)
+        tracemalloc.start()
+        try:
+            parse_input(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024 < MAX_INPUT_BYTES
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("ended", [True, False], ids=["pipe", "endless-pipe"])
+    def test_pipe_over_the_limit_is_refused(self, ended, capsys, monkeypatch):
+        """A pipe is refused once it has given one byte over the limit, before
+        its writer has finished too: the read does not wait for its end."""
+        monkeypatch.setattr("harmbounds.cli.MAX_INPUT_BYTES", 100)
+        read_end, write_end = os.pipe()
+        path = f"/dev/fd/{read_end}"
+        try:
+            os.write(write_end, b"{" * 1000)
+            if ended:
+                os.close(write_end)
+            assert main(["analyze", "--input", path]) == EXIT_USAGE
+        finally:
+            os.close(read_end)
+            if not ended:
+                os.close(write_end)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: input is larger than 100 bytes\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_device_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr("harmbounds.cli.MAX_INPUT_BYTES", 1000)
+        assert main(["analyze", "--input", "/dev/zero"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: /dev/zero: input is larger than 1000 bytes\n"
 
 
 class TestInputBoundary:

@@ -118,24 +118,39 @@ class TestCompatibilityCheck:
         assert list(report.derived_cross_risks) == list(cross)
 
 
+def _views(stratum):
+    """A stratum's (astar, mass, joint1, joint0) as the rationals they stand for."""
+    return (stratum.astar, *(F(n, stratum.scale) for n in stratum[2:]))
+
+
 class TestIdentify:
     def test_demo_strata(self, demo_params):
-        """Each stratum's (astar, mass, P(Y^1=1, A*=s), P(Y^0=1, A*=s))."""
-        assert [s[:4] for s in EvidenceSet(*demo_params).strata] == [
+        """Each stratum's (astar, mass, P(Y^1=1, A*=s), P(Y^0=1, A*=s)),
+        integer numerators over the common denominator of the demo's
+        parameters."""
+        assert EvidenceSet(*demo_params).strata == (
+            Stratum(0, 100, 30, 30, 9),
+            Stratum(1, 100, 70, 21, 70),
+        )
+        assert [_views(s) for s in EvidenceSet(*demo_params).strata] == [
             (0, F(3, 10), F(3, 10), F(9, 100)),
             (1, F(7, 10), F(21, 100), F(7, 10)),
         ]
 
     def test_experimental_only_is_one_population_stratum(self, demo_params):
+        """The whole population, of mass 1, with the experimental risks as its
+        joint numbers, over the lcm of their denominators."""
         p0, _ = demo_params
-        assert EvidenceSet(p0).strata == (
-            Stratum(None, F(1), p0.p_do1, p0.p_do0, p0.p_do1 - p0.p_do0),
-        )
+        (stratum,) = EvidenceSet(p0).strata
+        assert stratum == Stratum(None, 100, 100, 51, 79)
+        assert _views(stratum) == (None, F(1), p0.p_do1, p0.p_do0)
+        assert stratum.cate == p0.p_do1 - p0.p_do0
 
     def test_empty_stratum_is_omitted(self):
         p0 = ExperimentalParams(F(2, 7), F(3, 7))
         p1 = ObservationalParams(F(0), None, F(3, 7))
-        assert [s[:4] for s in EvidenceSet(p0, p1).strata] == [(0, F(1), F(2, 7), F(3, 7))]
+        assert EvidenceSet(p0, p1).strata == (Stratum(0, 7, 7, 2, 3),)
+        assert [_views(s) for s in EvidenceSet(p0, p1).strata] == [(0, F(1), F(2, 7), F(3, 7))]
 
     def test_incompatible_raises(self):
         p0 = ExperimentalParams(F(1, 10), F(1, 2))
@@ -156,11 +171,12 @@ class TestJointScale:
             p0_only, fused = joint_levels(joint)
             assert fused.evidence.strata is fused.evidence.fusion.strata, joint
             for s in fused.evidence.strata:
-                assert s.mass == joint.mass(astar=s.astar)
-                assert s.joint1 == joint.mass(y1=1, astar=s.astar), joint
-                assert s.joint0 == joint.mass(y0=1, astar=s.astar), joint
-                risks = (joint.mass(y1=1, astar=s.astar) / s.mass, joint.mass(y0=1, astar=s.astar) / s.mass)
-                assert (s.risk1, s.risk0) == risks, joint
+                assert F(s.mass, s.scale) == joint.mass(astar=s.astar)
+                assert F(s.joint1, s.scale) == joint.mass(y1=1, astar=s.astar), joint
+                assert F(s.joint0, s.scale) == joint.mass(y0=1, astar=s.astar), joint
+                mass = joint.mass(astar=s.astar)
+                risks = (joint.mass(y1=1, astar=s.astar) / mass, joint.mass(y0=1, astar=s.astar) / mass)
+                assert (F(s.joint1, s.mass), F(s.joint0, s.mass)) == risks, joint
                 assert identify_stratum_risks(p0, p1, s.astar) == risks, joint
             p_y = sum(
                 mass * risk for mass, risk in ((p1.pi1, p1.q1), (1 - p1.pi1, p1.q0)) if mass

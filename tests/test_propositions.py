@@ -205,7 +205,7 @@ def _sign_pattern(p0_only, fused):
         for s in fused.evidence.strata
     )
     (marginal,) = p0_only.evidence.strata
-    marginal_classes = (_risk_class(marginal.joint1, 1), _risk_class(marginal.joint0, 1))
+    marginal_classes = (_risk_class(marginal.joint1, marginal.mass), _risk_class(marginal.joint0, marginal.mass))
     return strata, marginal_classes + (_sign(marginal.cate),)
 
 

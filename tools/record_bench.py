@@ -13,6 +13,10 @@ A speed claim compares two trees on the same machine, and which tree runs
 second in a pair moves the figures, so ``--pair-with DIR --pairs K`` then
 times K pairs of ``--trace 0`` runs of each workload, the checkout and DIR
 alternately first, and adds them to the file under ``pairs.workloads``.
+For each end-to-end metric of the checkout's ``BENCHMARK.json`` it also
+records both sides' median and quartiles and ``change_wins``: the pairs in
+which the checkout did better, in the metric's ``better`` direction (a tie
+counts for neither side).
 
 Only the standard library is used; nothing under ``bench/`` is changed.
 """
@@ -96,6 +100,21 @@ def pairs(change: Path, base: Path, workload: str, seed: int, seconds: float, co
     return runs
 
 
+def acceptance(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per end-to-end metric: each side's median and quartiles over the
+    pairs, and how many pairs the change won in the metric's direction."""
+    figures = {}
+    for metric in end_to_end:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        sides = {side: [run[side][name] for run in runs] for side in ("base", "change")}
+        figures[name] = {"better": metric["better"]}
+        for side, values in sides.items():
+            quartiles = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+            figures[name][side] = {"median": statistics.median(values), "quartiles": [quartiles[0], quartiles[2]]}
+        figures[name]["change_wins"] = sum(sign * (c - b) > 0 for b, c in zip(sides["base"], sides["change"]))
+    return figures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True)
@@ -133,13 +152,18 @@ def main(argv=None) -> int:
             record["workloads"][workload][f"trace{trace}"] = result
     if args.pair_with:
         base = args.pair_with.resolve()
+        end_to_end = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
         record["pairs"] = {"base_commit": args.pair_commit or commit_of(base)[0], "workloads": {}}
         for workload in WORKLOADS:
             print(f"{workload} pairs ...", flush=True)
             runs = pairs(checkout, base, workload, args.seed, args.seconds, args.pairs)
             median = statistics.median(r["change"]["items_per_s"] / r["base"]["items_per_s"] - 1 for r in runs)
-            record["pairs"]["workloads"][workload] = {"median_items_per_s_change": median, "runs": runs}
-            print(f"{workload}: median items_per_s change {median:+.1%} over {len(runs)} pairs", flush=True)
+            figures = acceptance(runs, end_to_end)
+            record["pairs"]["workloads"][workload] = {
+                "median_items_per_s_change": median, "metrics": figures, "runs": runs,
+            }
+            wins = ", ".join(f"{name} {f['change_wins']}/{len(runs)}" for name, f in figures.items())
+            print(f"{workload}: median items_per_s change {median:+.1%}; change wins {wins}", flush=True)
     out = args.out or checkout / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
