@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
 
 from .identification import EvidenceSet, Stratum
 from .model import ONE
@@ -45,7 +44,7 @@ def is_point_identified(interval: Interval) -> bool:
     return interval.lower == interval.upper
 
 
-def _frechet_sum(strata: tuple[Stratum, ...], benefit: bool, den: Optional[int] = None) -> Interval:
+def _frechet_sum(strata: tuple[Stratum, ...], benefit: bool, den: int | None = None) -> Interval:
     """Sharp bounds on harm (benefit: j1 and j0 swapped) within `strata`, over
     `den` (default `scale`): the sum of [max(0, j1 - j0), min(j1, mass - j0)].
     The ends share the positive `den`, so they are ordered when their numerators are."""

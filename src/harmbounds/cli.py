@@ -22,7 +22,6 @@ import sys
 from collections import namedtuple
 from decimal import Context
 from fractions import Fraction
-from typing import NamedTuple, Optional
 
 from . import bounds as bounds_mod
 from . import propositions
@@ -97,14 +96,14 @@ def decimal_str(x: Fraction) -> tuple[str, bool]:
     return str(_SIX_DIGITS.divide(numerator, denominator)), False
 
 
-def _rat_json(x: Optional[Fraction]) -> Optional[dict]:
+def _rat_json(x: Fraction | None) -> dict | None:
     if x is None:
         return None
     decimal, exact = decimal_str(x)
     return {"rational": str(x), "decimal": decimal, "exact": exact}
 
 
-def _interval_json(interval: Optional[bounds_mod.Interval]) -> Optional[dict]:
+def _interval_json(interval: bounds_mod.Interval | None) -> dict | None:
     if interval is None:
         return None
     return {
@@ -126,16 +125,19 @@ def _verdict_json(verdict: propositions.Verdict) -> dict:
 # ---------------------------------------------------------------------------
 # input model
 
-_NAME_ESCAPES = str.maketrans(
-    {"\\": "\\\\", ";": "\\;", "=": "\\="}
-    | {c: f"\\x{c:02x}" for c in [*range(0x20), *range(0x7F, 0xA0)]}
+# The C0 and C1 controls, the line breaks U+2028 and U+2029 and the
+# bidirectional controls, written out wherever outside text is printed.
+_CONTROL_ESCAPES = str.maketrans(
+    {c: f"\\x{c:02x}" for c in [*range(0x20), *range(0x7F, 0xA0)]}
     | {c: f"\\u{c:04x}" for c in [0x2028, 0x2029, *range(0x202A, 0x202F), *range(0x2066, 0x206A)]}
 )
+_NAME_ESCAPES = str.maketrans({"\\": "\\\\", ";": "\\;", "=": "\\="}) | _CONTROL_ESCAPES
 
 
-class StratumInput(NamedTuple):
-    labels: tuple[tuple[str, str], ...]
-    evidence: bounds_mod.EvidenceSet
+class StratumInput(namedtuple("StratumInput", "labels evidence")):
+    """A stratum's (key, value) labels and its `EvidenceSet`."""
+
+    __slots__ = ()
 
     @property
     def name(self) -> str:
@@ -231,7 +233,7 @@ def _stratum_from_parameters(
         raise ParseError(f"{where}: parameters must be an object")
     _refuse_unknown_keys(params, _PARAMETER_KEYS, "parameter", where)
 
-    def prob(key: str, required: bool = True) -> Optional[Fraction]:
+    def prob(key: str, required: bool = True) -> Fraction | None:
         if key not in params or params[key] is None:
             if required:
                 raise ParseError(f"{where}: missing parameter {key!r}")
@@ -461,15 +463,15 @@ def parse_input(path: str) -> StudyInput:
 # ---------------------------------------------------------------------------
 # analysis
 
-class StratumReport(NamedTuple):
-    """One stratum's `propositions.Level`s, the records that `verify` checks on sampled joints."""
+class StratumReport(namedtuple("StratumReport", "stratum p0_only fused")):
+    """A `StratumInput` and its `propositions.Level`s, the records that `verify`
+    checks on sampled joints; `fused` is None without natural-choice data or
+    when the sources are incompatible."""
 
-    stratum: StratumInput
-    p0_only: propositions.Level
-    fused: Optional[propositions.Level]  # None without natural-choice data or when incompatible
+    __slots__ = ()
 
     @property
-    def levels(self) -> tuple[tuple[str, Optional[propositions.Level]], ...]:
+    def levels(self) -> tuple[tuple[str, propositions.Level | None], ...]:
         return ("p0_only", self.p0_only), ("fused", self.fused)
 
     @property
@@ -542,7 +544,7 @@ def _fmt_value(x: Fraction) -> str:
     return decimal if exact else "~" + decimal
 
 
-def _fmt_interval(interval: Optional[bounds_mod.Interval], bold: bool) -> str:
+def _fmt_interval(interval: bounds_mod.Interval | None, bold: bool) -> str:
     if interval is None:
         return "-"
     text = f"[{_fmt_value(interval.lower)}, {_fmt_value(interval.upper)}]"
@@ -666,14 +668,14 @@ _STRATUM = _lines(
 )
 
 
-def _rational_text(depth: int, x: Optional[Fraction]) -> str:
+def _rational_text(depth: int, x: Fraction | None) -> str:
     if x is None:
         return "null"
     decimal, exact = decimal_str(x)
     return _RATIONAL_TEXT[depth] % (x, decimal, _BOOL[exact])
 
 
-def _interval_text(interval: Optional[bounds_mod.Interval]) -> str:
+def _interval_text(interval: bounds_mod.Interval | None) -> str:
     if interval is None:
         return "null"
     lower, upper = str(interval.lower), str(interval.upper)
@@ -787,7 +789,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -812,7 +814,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         _emit_report(report, args.format, sys.stdout)
         return EXIT_ALL_INCOMPATIBLE if all(sr.incompatible for sr in report) else EXIT_OK
     except (HarmboundsError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A message may quote the input path as given: escaped, it stays one line with no ESC.
+        print(f"error: {str(exc).translate(_CONTROL_ESCAPES)}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
         # The reader stopped early (`| head`): quiet the interpreter's last flush.

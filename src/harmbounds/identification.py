@@ -19,21 +19,19 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, NamedTuple, Optional
 
 from .errors import IncompatibleEvidence, MissingObservational, NullStratum
 from .model import ExperimentalParams, ObservationalParams
 
 
-class Stratum(NamedTuple):
-    """A non-empty stratum's identified numbers, integer numerators over
-    `scale`, from which `bounds` forms every interval."""
+class Stratum(namedtuple("Stratum", "astar scale mass joint1 joint0")):
+    """A non-empty stratum's identified numbers, from which `bounds` forms
+    every interval: the positive `mass` P(A*=astar) and `joint1`, `joint0`
+    = P(Y^{a=1}=1, A*=astar), P(Y^{a=0}=1, A*=astar), integer numerators over
+    `scale`, the common denominator of every stratum of an EvidenceSet.
+    `astar` is None for the whole population, when A* is unmeasured."""
 
-    astar: Optional[int]  # None: the whole population, A* unmeasured
-    scale: int  # the common denominator of every stratum of an EvidenceSet
-    mass: int  # P(A*=astar)·scale, positive
-    joint1: int  # P(Y^{a=1}=1, A*=astar)·scale
-    joint0: int  # P(Y^{a=0}=1, A*=astar)·scale
+    __slots__ = ()
 
     @property
     def cate(self) -> Fraction:
@@ -41,13 +39,12 @@ class Stratum(NamedTuple):
         return Fraction(self.joint1 - self.joint0, self.mass)
 
 
-class FusionReport(NamedTuple):
-    """Outcome of checking that P0 and P1 can coexist under one joint."""
+class FusionReport(namedtuple("FusionReport", "compatible violations derived_cross_risks strata")):
+    """Outcome of checking that P0 and P1 can coexist under one joint: the
+    violation texts, P(Y^{1-astar}=1 | A*=astar) by astar, and the non-empty
+    strata in A* order, None if incompatible."""
 
-    compatible: bool
-    violations: tuple[str, ...]
-    derived_cross_risks: Mapping[int, Fraction]  # astar -> P(Y^{1-astar}=1 | A*=astar)
-    strata: Optional[tuple[Stratum, ...]]  # the non-empty strata in A* order; None if incompatible
+    __slots__ = ()
 
 
 def compatibility_check(p0: ExperimentalParams, p1: ObservationalParams) -> FusionReport:
@@ -91,7 +88,7 @@ class EvidenceSet(namedtuple("EvidenceSet", "p0 p1 fusion strata")):
     __slots__ = ()
 
     def __new__(
-        cls, p0: ExperimentalParams, p1: Optional[ObservationalParams] = None
+        cls, p0: ExperimentalParams, p1: ObservationalParams | None = None
     ) -> "EvidenceSet":
         if p1 is None:
             p_do1, p_do0 = p0

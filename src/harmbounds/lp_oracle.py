@@ -20,11 +20,11 @@ bases B are inverted once, and the vertices are the nonnegative B^-1 b.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
-from typing import NamedTuple, Optional
 
 from .bounds import EvidenceSet, Interval
 from .errors import IncompatibleEvidence, MissingObservational, NullStratum
@@ -35,18 +35,16 @@ _COORDS = ("y0", "y1", "astar")  # the names of an atom key's coordinates, in or
 _RESPONSE_TYPES = {"harm": (0, 1), "benefit": (1, 0)}  # (y0, y1) of each type
 
 
-class LinearProgram(NamedTuple):
-    """Linear functional of the atoms under equality evidence constraints.
-
-    Nonnegativity and sum-to-one are implicit.
+class LinearProgram(namedtuple("LinearProgram", "num_atoms objective eq_constraints")):
+    """Linear functional of the atoms under equality evidence constraints:
+    the `objective` coefficients, one per atom, and `eq_constraints`, the
+    (coefficients, value) rows.  Nonnegativity and sum-to-one are implicit.
     """
 
-    num_atoms: int
-    objective: tuple[Fraction, ...]
-    eq_constraints: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
+    __slots__ = ()
 
 
-def _parse_target(target: str) -> tuple[tuple[int, int], Optional[int]]:
+def _parse_target(target: str) -> tuple[tuple[int, int], int | None]:
     """The (y0, y1) response type and the A* stratum (None: all) of a report key."""
     kind, given, astar = target.partition("_given")
     if kind not in _RESPONSE_TYPES or astar not in (("0", "1") if given else ("",)):
@@ -85,7 +83,7 @@ def build_program(evidence: EvidenceSet, target: str) -> LinearProgram:
 
 def _solve_square(
     rows: list[list[Fraction]], rhs: list[list[Fraction]], cols: tuple[int, ...]
-) -> Optional[tuple[tuple[Fraction, ...], ...]]:
+) -> tuple[tuple[Fraction, ...], ...] | None:
     """Solve the square restriction to `cols` exactly for each column of `rhs`; None if singular."""
     aug = [[row[j] for j in cols] + b for row, b in zip(rows, rhs)]
     for col in range(len(cols)):

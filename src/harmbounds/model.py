@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 import random
 from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, NamedTuple, Optional, Union
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -26,10 +26,8 @@ ATOM_KEYS: tuple[AtomKey, ...] = tuple(
 )
 _ATOM_INDEX = {key: i for i, key in enumerate(ATOM_KEYS)}
 
-RationalLike = Union[Fraction, int]
 
-
-def as_prob(value: RationalLike) -> Fraction:
+def as_prob(value: Fraction | int) -> Fraction:
     """An int or Fraction in [0, 1], as a Fraction; a Fraction is kept as
     given, and anything else (float, str, bool) is a TypeError."""
     if type(value) is int:
@@ -55,7 +53,7 @@ class JointDistribution(namedtuple("JointDistribution", "atoms")):
         return super().__new__(cls, atoms)
 
     @classmethod
-    def from_mapping(cls, mapping: Mapping[AtomKey, RationalLike]) -> "JointDistribution":
+    def from_mapping(cls, mapping: Mapping[AtomKey, Fraction | int]) -> "JointDistribution":
         """Build from a (possibly partial) mapping; omitted atoms are 0."""
         for key in mapping:
             if key not in _ATOM_INDEX:
@@ -67,9 +65,9 @@ class JointDistribution(namedtuple("JointDistribution", "atoms")):
 
     def mass(
         self,
-        y0: Optional[int] = None,
-        y1: Optional[int] = None,
-        astar: Optional[int] = None,
+        y0: int | None = None,
+        y1: int | None = None,
+        astar: int | None = None,
     ) -> Fraction:
         """Total probability of all atoms matching the given coordinates."""
         total = ZERO
@@ -90,7 +88,7 @@ class ExperimentalParams(namedtuple("ExperimentalParams", "p_do1 p_do0")):
 
     __slots__ = ()
 
-    def __new__(cls, p_do1: RationalLike, p_do0: RationalLike) -> "ExperimentalParams":
+    def __new__(cls, p_do1: Fraction | int, p_do0: Fraction | int) -> "ExperimentalParams":
         return super().__new__(cls, as_prob(p_do1), as_prob(p_do0))
 
 
@@ -105,7 +103,7 @@ class ObservationalParams(namedtuple("ObservationalParams", "pi1 q1 q0")):
     __slots__ = ()
 
     def __new__(
-        cls, pi1: RationalLike, q1: Optional[RationalLike], q0: Optional[RationalLike]
+        cls, pi1: Fraction | int, q1: Fraction | int | None, q0: Fraction | int | None
     ) -> "ObservationalParams":
         pi1 = as_prob(pi1)
         q1 = None if q1 is None else as_prob(q1)
@@ -121,21 +119,18 @@ class ObservationalParams(namedtuple("ObservationalParams", "pi1 q1 q0")):
         return super().__new__(cls, pi1, q1, q0)
 
 
-class Estimands(NamedTuple):
-    """True causal estimands evaluated on a known joint.
+class Estimands(
+    namedtuple(
+        "Estimands",
+        "p_harm p_benefit ate cate0 cate1 p_harm_given0 p_harm_given1 p_benefit_given0 p_benefit_given1",
+    )
+):
+    """True causal estimands evaluated on a known joint, each a Fraction.
 
     Conditional entries are None when the conditioning stratum is empty.
     """
 
-    p_harm: Fraction
-    p_benefit: Fraction
-    ate: Fraction
-    cate0: Optional[Fraction]
-    cate1: Optional[Fraction]
-    p_harm_given0: Optional[Fraction]
-    p_harm_given1: Optional[Fraction]
-    p_benefit_given0: Optional[Fraction]
-    p_benefit_given1: Optional[Fraction]
+    __slots__ = ()
 
 
 def observables_from_joint(

@@ -13,8 +13,8 @@ non-None result is a counterexample and therefore an implementation bug.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from collections import namedtuple
+from collections.abc import Callable
 
 from . import bounds as bounds_mod
 from .model import (
@@ -25,19 +25,21 @@ from .model import (
     sample_joint,
 )
 
-class Verdict(NamedTuple):
-    """Harm detection outcome of one analytic school."""
 
-    school: str  # "interventionist" | "counterfactual"
-    detected: bool
-    witness: Optional[str] = None  # subgroup / bound that triggered detection
-    value: Optional[Fraction] = None  # the strictly positive sharp lower bound
+class Verdict(namedtuple("Verdict", "school detected witness value", defaults=(None, None))):
+    """Harm detection outcome of one analytic school: `school` is
+    "interventionist" or "counterfactual"; when `detected`, `witness` names
+    the subgroup or bound that triggered detection and `value` is its
+    strictly positive sharp lower bound, a Fraction."""
+
+    __slots__ = ()
 
 
-class PropositionReport(NamedTuple):
-    proposition: str
-    instances_checked: int
-    counterexamples: tuple[tuple[JointDistribution, str], ...]
+class PropositionReport(namedtuple("PropositionReport", "proposition instances_checked counterexamples")):
+    """One checker's outcome: `counterexamples` holds a (joint, details)
+    pair for each instance on which the proposition failed."""
+
+    __slots__ = ()
 
 
 def interventionist_verdict(evidence: bounds_mod.EvidenceSet) -> Verdict:
@@ -64,12 +66,12 @@ def counterfactual_verdict(evidence: bounds_mod.EvidenceSet, harm: bounds_mod.In
     return Verdict("counterfactual", False)
 
 
-class Level(NamedTuple):
-    """One evidence level: its evidence, every bound reported at it and both verdicts."""
+class Level(namedtuple("Level", "evidence bounds verdicts")):
+    """One evidence level: its evidence, every bound reported at it by name
+    (None for an empty A* stratum), and both verdicts, interventionist then
+    counterfactual."""
 
-    evidence: bounds_mod.EvidenceSet
-    bounds: dict[str, Optional[bounds_mod.Interval]]
-    verdicts: tuple[Verdict, Verdict]  # interventionist, counterfactual
+    __slots__ = ()
 
 
 def level(evidence: bounds_mod.EvidenceSet) -> Level:
@@ -101,7 +103,7 @@ def level(evidence: bounds_mod.EvidenceSet) -> Level:
     return Level(evidence, bounds, verdicts)
 
 
-def evidence_levels(evidence: bounds_mod.EvidenceSet) -> tuple[Level, Optional[Level]]:
+def evidence_levels(evidence: bounds_mod.EvidenceSet) -> tuple[Level, Level | None]:
     """The experimental-only and the fused level of a stratum's evidence; the
     fused one is None without natural-choice data (the one level is then on
     `evidence` itself) and when the two sources are incompatible."""
@@ -117,7 +119,7 @@ def joint_levels(joint: JointDistribution) -> tuple[Level, Level]:
     return evidence_levels(bounds_mod.EvidenceSet(*observables_from_joint(joint)))
 
 
-def check_prop1(p0_only: Level, fused: Level) -> Optional[str]:
+def check_prop1(p0_only: Level, fused: Level) -> str | None:
     """Counterfactual and interventionist detection agree at both evidence levels."""
     for label, lvl in (("experimental-only", p0_only), ("fused", fused)):
         interventionist, counterfactual = (v.detected for v in lvl.verdicts)
@@ -129,7 +131,7 @@ def check_prop1(p0_only: Level, fused: Level) -> Optional[str]:
     return None
 
 
-def check_prop2(p0_only: Level, fused: Level) -> Optional[str]:
+def check_prop2(p0_only: Level, fused: Level) -> str | None:
     """Point identification of P(harm) happens exactly at deterministic risks."""
     for label, lvl, kind in (
         ("experimental-only", p0_only, "marginal"),
@@ -145,7 +147,7 @@ def check_prop2(p0_only: Level, fused: Level) -> Optional[str]:
     return None
 
 
-def check_prop3(p0_only: Level, fused: Level) -> Optional[str]:
+def check_prop3(p0_only: Level, fused: Level) -> str | None:
     """Point-identified positive P(harm) splits the strata: per stratum, either
     conditional benefit or conditional harm is identified to be exactly 0."""
     premise = any(
@@ -167,7 +169,7 @@ def check_prop3(p0_only: Level, fused: Level) -> Optional[str]:
     return None
 
 
-def check_prop4(p0_only: Level, fused: Level) -> Optional[str]:
+def check_prop4(p0_only: Level, fused: Level) -> str | None:
     """The fused harm lower bound strictly improves iff the stratum ATEs have
     strictly opposite signs.  Vacuous when a stratum is empty."""
     if len(fused.evidence.strata) < 2:
@@ -184,7 +186,7 @@ def check_prop4(p0_only: Level, fused: Level) -> Optional[str]:
     return None
 
 
-_CHECKERS: dict[str, Callable[[Level, Level], Optional[str]]] = {
+_CHECKERS: dict[str, Callable[[Level, Level], str | None]] = {
     "P1": check_prop1,
     "P2": check_prop2,
     "P3": check_prop3,

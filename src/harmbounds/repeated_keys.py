@@ -8,7 +8,7 @@ imports from source, so code that only an error needs stays out of `cli`.
 from __future__ import annotations
 
 import json
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import ParseError
 

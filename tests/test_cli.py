@@ -1,16 +1,20 @@
 import codecs
+import importlib
 import io
 import json
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
+import typing
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import harmbounds
 from harmbounds import (
     ExperimentalParams,
     JointDistribution,
@@ -25,6 +29,7 @@ from harmbounds import (
     true_estimands,
 )
 from harmbounds import bounds as bounds_mod
+from harmbounds import lp_oracle
 from harmbounds.cli import (
     EXIT_ALL_INCOMPATIBLE,
     EXIT_COUNTEREXAMPLE,
@@ -552,6 +557,24 @@ class TestMain:
         )
         assert (result.returncode, result.stderr) == (EXIT_OK, b"")
         assert result.stdout == (GOLDEN / "example.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "name,text,message",
+        [
+            ("no\nerror: such", None, "no such file: {}"),
+            ("esc\x1b[2J.json", "{", "{}: invalid JSON at line 1: Expecting property name enclosed in double quotes"),
+        ],
+        ids=["newline", "esc"],
+    )
+    def test_control_characters_of_a_path_are_written_out(self, name, text, message, capsys, tmp_path):
+        """A path reaches stderr with its control characters escaped, so it
+        cannot forge a second error line or send an escape sequence."""
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
+        escaped = str(path).replace("\n", "\\x0a").replace("\x1b", "\\x1b")
+        assert capsys.readouterr().err == "error: " + message.format(escaped) + "\n"
 
     def test_any_library_error_is_one_error_line(self, capsys, monkeypatch):
         """An error the library raises past the parser ends in one line and exit 1."""
@@ -1447,13 +1470,9 @@ def _modules_added_by(argv):
 
 
 # Start-up is most of a CLI call; `dataclasses` alone pulls in `inspect`,
-# `ast`, `dis` and `tokenize`.
-_NEVER_IMPORTED = {"dataclasses", "harmbounds.lp_oracle"}
-
-
-def test_example_never_imports_the_lp_oracle():
-    """The LP oracle is a test reference; the CLI's runtime path must not load it."""
-    assert not _modules_added_by(["example"]) & _NEVER_IMPORTED
+# `ast`, `dis` and `tokenize`, and `typing` costs about 6 ms.  The LP oracle
+# is a test reference, which the CLI's runtime path must not load.
+_NEVER_IMPORTED = {"dataclasses", "typing", "harmbounds.lp_oracle"}
 
 
 @pytest.mark.parametrize(
@@ -1464,7 +1483,8 @@ def test_example_never_imports_the_lp_oracle():
 def test_analyze_and_verify_import_only_what_they_use(argv):
     """`importlib.resources` imports `inspect`, `pathlib` and `zipfile`
     (`inspect` from Python 3.12 on); `example` finds its bundled study
-    without it."""
+    without it.  Every record is a `collections.namedtuple`, so no command
+    imports `typing`."""
     added = _modules_added_by(argv)
     assert not added & (_NEVER_IMPORTED | {"importlib.resources", "inspect"})
 
@@ -1482,11 +1502,15 @@ def _records():
         true_estimands(joint),
         evidence.fusion,
         evidence,
+        evidence.strata[0],
         bounds_mod.Interval(F(0), F(1, 2)),
         propositions.interventionist_verdict(evidence),
         propositions.PropositionReport("P1", 1, ()),
+        propositions.level(evidence),
         study.strata[0],
         study,
+        analyze(study)[0],
+        lp_oracle.build_program(evidence, "harm"),
     ]
 
 
@@ -1499,3 +1523,40 @@ def test_records_are_immutable(record):
         with pytest.raises(AttributeError):
             setattr(record, attr, None)
     assert pickle.loads(pickle.dumps(record)) == record
+
+
+def _modules():
+    """Every module of the package."""
+    return [importlib.import_module(f"harmbounds.{m.name}") for m in pkgutil.iter_modules(harmbounds.__path__)]
+
+
+def _classes(module):
+    return [obj for obj in vars(module).values() if isinstance(obj, type) and obj.__module__ == module.__name__]
+
+
+def test_every_record_is_covered():
+    """`_records` builds one instance of every record type the package
+    declares, so one declared without `__slots__ = ()` fails above."""
+    declared = {cls for module in _modules() for cls in _classes(module) if hasattr(cls, "_fields")}
+    assert declared == {type(record) for record in _records()}
+
+
+def _annotated(module):
+    """Every class, function, method and property that `module` defines."""
+    yield from _classes(module)
+    for obj in [*vars(module).values(), *(v for cls in _classes(module) for v in vars(cls).values())]:
+        function = getattr(obj, "fget", None) or getattr(obj, "__func__", obj)
+        function = getattr(function, "__wrapped__", function)  # through `lru_cache`
+        if getattr(function, "__globals__", None) is vars(module):
+            yield function
+
+
+@pytest.mark.parametrize("module", _modules(), ids=lambda module: module.__name__)
+def test_annotations_resolve(module):
+    """Under `from __future__ import annotations` every annotation is a
+    string that nothing evaluates at run time; each must still name
+    something the module has, on every supported Python."""
+    objects = list(_annotated(module))
+    assert objects
+    for obj in objects:
+        typing.get_type_hints(obj)
