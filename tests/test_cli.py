@@ -1475,6 +1475,11 @@ def _modules_added_by(argv):
 _NEVER_IMPORTED = {"dataclasses", "typing", "harmbounds.lp_oracle"}
 
 
+def test_example_never_imports_the_lp_oracle():
+    """The LP oracle is a test reference; the CLI's runtime path must not load it."""
+    assert "harmbounds.lp_oracle" not in _modules_added_by(["example"])
+
+
 @pytest.mark.parametrize(
     "argv",
     [["analyze", "--input", str(CORPUS)], ["verify", "--samples", "3"], ["example"]],
