@@ -96,32 +96,6 @@ def decimal_str(x: Fraction) -> tuple[str, bool]:
     return str(_SIX_DIGITS.divide(numerator, denominator)), False
 
 
-def _rat_json(x: Fraction | None) -> dict | None:
-    if x is None:
-        return None
-    decimal, exact = decimal_str(x)
-    return {"rational": str(x), "decimal": decimal, "exact": exact}
-
-
-def _interval_json(interval: bounds_mod.Interval | None) -> dict | None:
-    if interval is None:
-        return None
-    return {
-        "lower": _rat_json(interval.lower),
-        "upper": _rat_json(interval.upper),
-        "point": bounds_mod.is_point_identified(interval),
-    }
-
-
-def _verdict_json(verdict: propositions.Verdict) -> dict:
-    return {
-        "school": verdict.school,
-        "detected": verdict.detected,
-        "witness": verdict.witness,
-        "value": _rat_json(verdict.value),
-    }
-
-
 # ---------------------------------------------------------------------------
 # input model
 
@@ -490,53 +464,11 @@ def analyze(study: StudyInput) -> tuple[StratumReport, ...]:
 # ---------------------------------------------------------------------------
 # rendering
 
-def report_to_json(report: tuple[StratumReport, ...]) -> dict:
-    strata = []
-    for sr in report:
-        p1, fusion = sr.stratum.evidence.p1, sr.stratum.evidence.fusion
-        entry: dict = {
-            "labels": dict(sr.stratum.labels),
-            "p0": {
-                "p_do1": _rat_json(sr.stratum.evidence.p0.p_do1),
-                "p_do0": _rat_json(sr.stratum.evidence.p0.p_do0),
-            },
-            "p1": None
-            if p1 is None
-            else {
-                "pi1": _rat_json(p1.pi1),
-                "q1": _rat_json(p1.q1),
-                "q0": _rat_json(p1.q0),
-            },
-            "fusion": None
-            if fusion is None
-            else {
-                "compatible": fusion.compatible,
-                "violations": list(fusion.violations),
-                "cross_risks": {
-                    str(astar): _rat_json(risk)
-                    for astar, risk in sorted(fusion.derived_cross_risks.items())
-                },
-            },
-            "bounds": {
-                name: None
-                if level is None
-                else {key: _interval_json(interval) for key, interval in level.bounds.items()}
-                for (name, _, _), level in zip(_LEVEL_NAMES, sr.levels)
-            },
-            "verdicts": {
-                name: None
-                if level is None
-                else {verdict.school: _verdict_json(verdict) for verdict in level.verdicts}
-                for (name, _, _), level in zip(_LEVEL_NAMES, sr.levels)
-            },
-            "incompatible": sr.incompatible,
-        }
-        strata.append(entry)
-    return {"strata": strata}
-
-
 def _use_color(stream) -> bool:
-    return os.environ.get("HARMBOUNDS_COLOR") != "never" and getattr(stream, "isatty", lambda: False)()
+    setting = os.environ.get("HARMBOUNDS_COLOR", "")
+    if setting not in ("", "never"):  # unset or empty is auto; a mistyped value must not pass silently
+        raise ValidationError(f"HARMBOUNDS_COLOR must be 'never', empty or unset, got {setting!r}")
+    return not setting and getattr(stream, "isatty", lambda: False)()
 
 
 def _fmt_value(x: Fraction) -> str:
@@ -649,7 +581,7 @@ def _lines(depth: int, members: list[str], brackets: str = "{}") -> str:
     return brackets[0] + pad + ("," + pad).join(members) + "\n" + " " * depth + brackets[1]
 
 
-# The `report_to_json` objects of fixed shape, as `%` templates.  A rational's
+# The objects of fixed shape in the report's JSON document, as `%` templates.  A rational's
 # fields are ASCII digits, signs, dots and slashes, so they need no escaping.
 _RATIONAL_TEXT = {
     depth: _lines(depth, ['"rational": "%s"', '"decimal": "%s"', '"exact": %s']) for depth in (8, 10, 12)
@@ -692,8 +624,8 @@ def _verdict_text(verdict: propositions.Verdict) -> str:
 
 
 def _stratum_text(sr: StratumReport) -> str:
-    """The text of the stratum's `report_to_json` entry in the report's
-    `json.dumps(..., indent=2)`, written from its records."""
+    """The text of the stratum's entry in the `json.dumps(..., indent=2)`
+    text of the report's JSON document, written from its records."""
     evidence = sr.stratum.evidence
     p0, p1, fusion = evidence.p0, evidence.p1, evidence.fusion
     p1_text = fusion_text = "null"
@@ -725,12 +657,12 @@ def _stratum_text(sr: StratumReport) -> str:
 
 
 class _StratumEncoder(json.JSONEncoder):
-    """Encodes a report, the tuple of `StratumReport`s, as the text of
-    `json.dumps(report_to_json(report), indent=2)`, one stratum per chunk: so
-    `json.dump` makes one write per stratum, and no stratum's text outlives
-    its write.  `indent` is always 2, whatever the encoder is given.  The
-    report is never empty, because `StudyInput` refuses a study without
-    strata.
+    """Encodes a report, the tuple of `StratumReport`s, as the
+    `json.dumps(..., indent=2)` text of the report's JSON document, one
+    stratum per chunk: so `json.dump` makes one write per stratum, and no
+    stratum's text outlives its write.  `indent` is always 2, whatever the
+    encoder is given.  The report is never empty, because `StudyInput`
+    refuses a study without strata.
     """
 
     def iterencode(self, o, _one_shot=False):
@@ -741,9 +673,14 @@ class _StratumEncoder(json.JSONEncoder):
         yield "\n  ]\n}"
 
 
+def report_to_json(report: tuple[StratumReport, ...]) -> dict:
+    """The report's JSON document: the dict that the CLI's bytes parse to."""
+    return json.loads("".join(_StratumEncoder().iterencode(report)))
+
+
 def _emit_report(report: tuple[StratumReport, ...], fmt: str, stream) -> None:
     if fmt == "json":
-        json.dump(report, stream, indent=2, cls=_StratumEncoder)
+        json.dump(report, stream, cls=_StratumEncoder)
         stream.write("\n")
     else:
         stream.write(render_text(report, color=_use_color(stream)))
@@ -817,14 +754,12 @@ def main(argv: list[str] | None = None) -> int:
         # A message may quote the input path as given: escaped, it stays one line with no ESC.
         print(f"error: {str(exc).translate(_CONTROL_ESCAPES)}", file=sys.stderr)
         return EXIT_USAGE
-    except BrokenPipeError:
-        # The reader stopped early (`| head`): quiet the interpreter's last flush.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_USAGE
     except OSError as exc:
-        # stdout refused the report (a full disk): drop what it still holds, as above.
+        # stdout refused the report: drop what it holds, or the interpreter's last flush
+        # fails again.  A reader that stopped early (`| head`) needs no error line; a full disk does.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -1,3 +1,4 @@
+import ast
 import codecs
 import importlib
 import io
@@ -53,6 +54,8 @@ from harmbounds.cli import (
     render_text,
     report_to_json,
 )
+
+import report_reference
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -449,13 +452,14 @@ class TestJsonReport:
         ids=["unlabeled-stratum", "escapes", "empty-arm", "incompatible", "experimental-only"],
     )
     def test_emitter_is_the_standard_indented_encoding(self, strata):
-        """The writer's text is `json.dumps(..., indent=2)` of `report_to_json`,
-        the reference built from the same records."""
+        """The writer's text is `json.dumps(..., indent=2)` of
+        `report_reference.report_to_json`, the reference built from the same
+        records."""
         study = StudyInput(
             tuple(StratumInput(tuple(labels.items()), WRITER_EVIDENCE[name]) for labels, name in strata)
         )
         report = analyze(study)
-        expected = json.dumps(report_to_json(report), indent=2)
+        expected = json.dumps(report_reference.report_to_json(report), indent=2)
         assert "".join(_StratumEncoder(indent=2).iterencode(report)) == expected
         stream = io.StringIO()
         _emit_report(report, "json", stream)
@@ -471,6 +475,31 @@ class TestJsonReport:
         p0_only, fused = propositions.evidence_levels(alone)
         assert fused is None and all(verdict.detected for verdict in p0_only.verdicts)
         assert not decimal_str(alone.p0.p_do0)[1]
+
+    @pytest.mark.parametrize(
+        "load",
+        [
+            lambda: analyze(_demo_study()),
+            lambda: analyze(parse_input(str(CORPUS))),
+            *(
+                lambda evidence=evidence: analyze(StudyInput((StratumInput((("case", "x"),), evidence),)))
+                for evidence in WRITER_EVIDENCE.values()
+            ),
+        ],
+        ids=["example", "corpus", *WRITER_EVIDENCE],
+    )
+    def test_report_to_json_is_the_writers_document_parsed(self, load, monkeypatch):
+        """`report_to_json` equals the reference document, and it is what the
+        writer's text parses to: whatever the writer renders, it returns."""
+        report = load()
+        assert report_to_json(report) == report_reference.report_to_json(report)
+        monkeypatch.setattr("harmbounds.cli._stratum_text", lambda sr: json.dumps(sr.stratum.name))
+        assert report_to_json(report) == {"strata": [sr.stratum.name for sr in report]}
+
+
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
 
 
 class TestMain:
@@ -500,11 +529,7 @@ class TestMain:
         the golden text plus escapes, and every bold cell is in the fused
         column, which starts at column 50, although experimental-only cells
         of bolded rows have positive lower bounds too; with `never` it is
-        the golden text."""
-
-        class Terminal(io.StringIO):
-            def isatty(self):
-                return True
+        the golden text, and an empty value is the default."""
 
         report = analyze(parse_input(str(CORPUS)))
         golden = (GOLDEN / "corpus_report.txt").read_text(encoding="utf-8")
@@ -515,16 +540,33 @@ class TestMain:
             for key in bolded
         )
         monkeypatch.delenv("HARMBOUNDS_COLOR", raising=False)
-        stream = Terminal()
+        stream = _Terminal()
         _emit_report(report, "text", stream)
         text = stream.getvalue()
         assert text.replace("\x1b[1m", "").replace("\x1b[0m", "") == golden
         starts = [m.start() for line in text.splitlines() for m in re.finditer("\x1b\\[1m", line)]
         assert starts and min(starts) >= 50
         monkeypatch.setenv("HARMBOUNDS_COLOR", "never")
-        stream = Terminal()
+        stream = _Terminal()
         _emit_report(report, "text", stream)
         assert stream.getvalue() == golden
+        monkeypatch.setenv("HARMBOUNDS_COLOR", "")
+        stream = _Terminal()
+        _emit_report(report, "text", stream)
+        assert stream.getvalue() == text
+
+    @pytest.mark.parametrize("setting", ["off", "always", "NEVER", "never\x1b"])
+    @pytest.mark.parametrize("stream", [_Terminal, io.StringIO], ids=["tty", "pipe"])
+    def test_an_unknown_color_setting_is_one_error_line(self, setting, stream, monkeypatch, capsys):
+        """Only `never` and an unset or empty HARMBOUNDS_COLOR are settings.
+        Any other value ends a text report in one error line that names it,
+        with nothing on stdout, on a TTY or not: a mistyped setting must not
+        pass for one that took effect."""
+        monkeypatch.setenv("HARMBOUNDS_COLOR", setting)
+        monkeypatch.setattr(sys, "stdout", stream())
+        assert main(["example"]) == EXIT_USAGE
+        assert sys.stdout.getvalue() == ""
+        assert capsys.readouterr().err == f"error: HARMBOUNDS_COLOR must be 'never', empty or unset, got {setting!r}\n"
 
     def test_analyze_matches_example(self, capsys, tmp_path):
         assert main(["analyze", "--input", write_json(tmp_path, DEMO_COUNTS)]) == EXIT_OK
@@ -1449,7 +1491,7 @@ def test_json_report_is_written_one_stratum_at_a_time(argv, load, monkeypatch):
     assert main(argv) == EXIT_OK
     strata = len(load().strata)
     assert 0 < stream.writes <= strata + 3
-    assert stream.getvalue() == json.dumps(report_to_json(analyze(load())), indent=2) + "\n"
+    assert stream.getvalue() == json.dumps(report_reference.report_to_json(analyze(load())), indent=2) + "\n"
 
 
 def _screening_report(n):
@@ -1578,6 +1620,26 @@ def test_every_record_is_covered():
     declares, so one declared without `__slots__ = ()` fails above."""
     declared = {cls for module in _modules() for cls in _classes(module) if hasattr(cls, "_fields")}
     assert declared == {type(record) for record in _records()}
+
+
+def test_no_program_module_imports_from_tests():
+    """The tests' references, such as `report_reference`, stay out of the
+    program: no module under src/harmbounds/ imports `tests` or a module
+    that lives there."""
+    tests = Path(__file__).parent
+    test_modules = {"tests"} | {path.stem for path in tests.glob("*.py")}
+    assert "report_reference" in test_modules
+    sources = sorted((tests.parent / "src" / "harmbounds").rglob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            assert not {name.split(".")[0] for name in names} & test_modules, (path.name, names)
 
 
 def _annotated(module):

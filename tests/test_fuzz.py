@@ -5,9 +5,10 @@ nothing on stdout and exactly one `error:` line on stderr; exits 0 and 2
 print a report and nothing on stderr.  No exception may escape `main`, and
 the hypothesis deadline bounds the time of every run.  For valid studies
 the JSON report must be the bytes of the standard library's indented
-encoding of `report_to_json`, and the text report must give each stratum
-one heading line.  A repeated key is refused, and a parameter written as
-a JSON number is read from its digits.
+encoding of `report_reference.report_to_json`, the tests' reference
+document, and the text report must give each stratum one heading line.
+A repeated key is refused, and a parameter written as a JSON number is
+read from its digits.
 """
 
 import contextlib
@@ -30,8 +31,9 @@ from harmbounds.cli import (
     analyze,
     main,
     parse_input,
-    report_to_json,
 )
+
+from report_reference import report_to_json
 
 FUZZ = settings(max_examples=300, deadline=timedelta(seconds=2))
 

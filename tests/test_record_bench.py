@@ -31,19 +31,26 @@ def test_errors_are_counted_under_one_key(record_bench, summary, counts):
 
 
 def test_pair_with_pairs_every_workload(record_bench, tmp_path, monkeypatch):
-    """`--pair-with` times alternating pairs of every workload, the change
-    first in even pairs, and records each under `pairs.workloads` with, per
-    end-to-end metric of the checkout's BENCHMARK.json, both sides' median
-    and quartiles and the pairs the change won in the metric's direction."""
+    """`--pair-with` times alternating pairs of every workload of the
+    checkout's BENCHMARK.json, for its `run_seconds`, the change first in
+    even pairs, and records each under `pairs.workloads` with, per
+    end-to-end metric of that file, both sides' median and quartiles and the
+    pairs the change won in the metric's direction."""
     change, base = tmp_path / "change", tmp_path / "base"
     change.mkdir()
     base.mkdir()
-    (change / "BENCHMARK.json").write_text((RECORD_BENCH.parent.parent / "BENCHMARK.json").read_text())
+    definition = json.loads((RECORD_BENCH.parent.parent / "BENCHMARK.json").read_text())
+    # another order and run length than the repo's, so that they must be read from the checkout
+    definition["workloads"].reverse()
+    definition["run_seconds"] = 7
+    (change / "BENCHMARK.json").write_text(json.dumps(definition))
+    workloads = [workload["name"] for workload in definition["workloads"]]
     calls = []
 
     def bench(checkout, workload, seed, seconds, trace):
+        assert seconds == 7
         calls.append((checkout.name, workload, trace))
-        paired = calls[2 * len(record_bench.WORKLOADS):]  # after each workload's --trace 0 and 1 runs
+        paired = calls[2 * len(workloads):]  # after each workload's --trace 0 and 1 runs
         pair = sum(call[:2] == (checkout.name, workload) for call in paired) - 1
         values = {  # change, base: items_per_s better, wall_s tied, setup_s better, peak_rss_mb worse
             "items_per_s": (110.0 + pair, 100.0 + pair),
@@ -60,8 +67,10 @@ def test_pair_with_pairs_every_workload(record_bench, tmp_path, monkeypatch):
     argv = ["--pr", "0", "--checkout", str(change), "--pair-with", str(base), "--pairs", "3", "--out", str(out)]
     assert record_bench.main(argv) == 0
 
-    pairs = json.loads(out.read_text())["pairs"]
-    assert list(pairs["workloads"]) == list(record_bench.WORKLOADS)
+    recorded = json.loads(out.read_text())
+    assert recorded["seconds"] == 7 and list(recorded["workloads"]) == workloads
+    pairs = recorded["pairs"]
+    assert list(pairs["workloads"]) == workloads
     for recorded in pairs["workloads"].values():
         assert [run["first"] for run in recorded["runs"]] == ["change", "base", "change"]
         assert recorded["median_items_per_s_change"] == pytest.approx(111 / 101 - 1)
@@ -77,9 +86,7 @@ def test_pair_with_pairs_every_workload(record_bench, tmp_path, monkeypatch):
         assert metrics["setup_s"]["better"] == "lower"
         assert metrics["peak_rss_mb"]["change"] == {"median": 17.0, "quartiles": [17.0, 17.0]}
     order = ["change", "base", "base", "change", "change", "base"]
-    assert calls[2 * len(record_bench.WORKLOADS):] == [
-        (tree, workload, 0) for workload in record_bench.WORKLOADS for tree in order
-    ]
+    assert calls[2 * len(workloads):] == [(tree, workload, 0) for workload in workloads for tree in order]
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])

@@ -1,10 +1,11 @@
 """Record the benchmark's metrics for one checkout to BENCH_<pr>.json.
 
 Runs the checkout's tier-1 test suite once, for its pass count and wall
-time.  Then, for each workload, runs the checkout's own ``bench/run.py
---workload W --seed S --seconds T`` at ``--trace 0`` and at ``--trace 1``,
-and keeps the JSON result each run prints as its last stdout line: every
-metric with its unit, ``attempted`` and ``failed``.
+time.  Then, for each workload that the checkout's ``BENCHMARK.json``
+declares, runs the checkout's own ``bench/run.py --workload W --seed S
+--seconds T`` at ``--trace 0`` and at ``--trace 1``, and keeps the JSON
+result each run prints as its last stdout line: every metric with its unit,
+``attempted`` and ``failed``.  T defaults to the file's ``run_seconds``.
 
     python3 tools/record_bench.py --pr N
     python3 tools/record_bench.py --pr M --checkout ../parent --commit <sha> --out BENCH_M.json
@@ -34,7 +35,6 @@ import sys
 import time
 from pathlib import Path
 
-WORKLOADS = ("fused_study", "screening_study", "harness")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 ENVIRONMENT = ("PYTHONUNBUFFERED", "PYTHONDONTWRITEBYTECODE")  # both move the end-to-end figures
 
@@ -121,7 +121,7 @@ def main(argv=None) -> int:
     parser.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--commit", help="the checkout's commit, when it is not a git work tree")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=35)
+    parser.add_argument("--seconds", type=float, help="default: run_seconds of the checkout's BENCHMARK.json")
     parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json in the checkout")
     parser.add_argument("--pair-with", type=Path, help="another checkout to time against")
     parser.add_argument("--pair-commit", help="its commit, when it is not a git work tree")
@@ -131,13 +131,16 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
 
     checkout = args.checkout.resolve()
+    definition = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [workload["name"] for workload in definition["workloads"]]
+    seconds = definition["run_seconds"] if args.seconds is None else args.seconds
     commit, changed = commit_of(checkout)
     record = {
         "pr": args.pr,
         "commit": args.commit or commit,
         "uncommitted_changes": changed,
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "environment": {name: os.environ.get(name) for name in ENVIRONMENT},
@@ -146,21 +149,20 @@ def main(argv=None) -> int:
     record["tier1"] = tier1(checkout)
     print(record["tier1"]["summary"], flush=True)
     record["workloads"] = {}
-    for workload in WORKLOADS:
+    for workload in workloads:
         record["workloads"][workload] = {}
         for trace in (0, 1):
             print(f"{workload} --trace {trace} ...", flush=True)
-            result = bench(checkout, workload, args.seed, args.seconds, trace)
+            result = bench(checkout, workload, args.seed, seconds, trace)
             record["workloads"][workload][f"trace{trace}"] = result
     if args.pair_with:
         base = args.pair_with.resolve()
-        end_to_end = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
         record["pairs"] = {"base_commit": args.pair_commit or commit_of(base)[0], "workloads": {}}
-        for workload in WORKLOADS:
+        for workload in workloads:
             print(f"{workload} pairs ...", flush=True)
-            runs = pairs(checkout, base, workload, args.seed, args.seconds, args.pairs)
+            runs = pairs(checkout, base, workload, args.seed, seconds, args.pairs)
             median = statistics.median(r["change"]["items_per_s"] / r["base"]["items_per_s"] - 1 for r in runs)
-            figures = acceptance(runs, end_to_end)
+            figures = acceptance(runs, definition["end_to_end"])
             record["pairs"]["workloads"][workload] = {
                 "median_items_per_s_change": median, "metrics": figures, "runs": runs,
             }
