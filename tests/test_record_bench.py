@@ -67,9 +67,9 @@ def test_pair_with_pairs_every_workload(record_bench, tmp_path, monkeypatch):
     argv = ["--pr", "0", "--checkout", str(change), "--pair-with", str(base), "--pairs", "3", "--out", str(out)]
     assert record_bench.main(argv) == 0
 
-    recorded = json.loads(out.read_text())
-    assert recorded["seconds"] == 7 and list(recorded["workloads"]) == workloads
-    pairs = recorded["pairs"]
+    record = json.loads(out.read_text())
+    assert record["seconds"] == 7 and list(record["workloads"]) == workloads
+    pairs = record["pairs"]
     assert list(pairs["workloads"]) == workloads
     for recorded in pairs["workloads"].values():
         assert [run["first"] for run in recorded["runs"]] == ["change", "base", "change"]
