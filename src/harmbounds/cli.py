@@ -151,6 +151,7 @@ def _cell(block: object, arm: str, where: str) -> tuple[int, int]:
     cell = block.get(arm) if isinstance(block, dict) else None
     if not isinstance(cell, dict):
         raise ParseError(f"{where}: expected an object with events/total counts")
+    _refuse_repeats(cell, where)
     _refuse_unknown_keys(cell, ("events", "total"), "key", where)
     events, total = cell.get("events"), cell.get("total")
     if type(events) is not int or type(total) is not int:
@@ -205,6 +206,7 @@ def _stratum_from_parameters(
 ) -> StratumInput:
     if not isinstance(params, dict):
         raise ParseError(f"{where}: parameters must be an object")
+    _refuse_repeats(params, f"{where}, parameters")
     _refuse_unknown_keys(params, _PARAMETER_KEYS, "parameter", where)
 
     def prob(key: str, required: bool = True) -> Fraction | None:
@@ -235,6 +237,11 @@ def _stratum_from_parameters(
     return StratumInput(labels, bounds_mod.EvidenceSet(p0, p1))
 
 
+def _refuse_repeats(block: object, where: str) -> None:
+    if type(block) is _Repeats:
+        raise ParseError(f"{where}: key {block.repeated!r} is repeated")
+
+
 def _refuse_unknown_keys(block: dict, known: tuple[str, ...], what: str, where: str) -> None:
     for key in block:
         if key not in known:
@@ -244,6 +251,7 @@ def _refuse_unknown_keys(block: dict, known: tuple[str, ...], what: str, where: 
 def _labels_from_mapping(raw: object, where: str) -> tuple[tuple[str, str], ...]:
     if not isinstance(raw, dict):
         raise ParseError(f"{where}: labels must be a string-to-string mapping")
+    _refuse_repeats(raw, f"{where}, labels")
     for key, value in raw.items():
         if not key:
             raise ParseError(f"{where}: a label key is empty")
@@ -293,24 +301,26 @@ class _JsonNumber(float):
         return self.text
 
 
-def _parse_json_input(path: str) -> tuple[StratumInput, ...]:
-    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
-        # A ParseError, not a ValueError: the handler below reads any
-        # other ValueError from json.loads as a number that is too long.
-        block = dict(pairs)
-        if len(block) < len(pairs):
-            keys = [key for key, _ in pairs]
-            repeated = next(key for key in keys if keys.count(key) > 1)
-            raise ParseError(f"{path}: key {repeated!r} is repeated")
-        return block
+class _Repeats(dict):
+    """A JSON object that writes its key `repeated` more than once, kept with
+    each key's last value; the walk refuses it where it reaches it."""
 
+    __slots__ = ("repeated",)
+
+
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    block = dict(pairs)
+    if len(block) < len(pairs):
+        keys = [key for key, _ in pairs]
+        block = _Repeats(block)
+        block.repeated = next(key for key in keys if keys.count(key) > 1)
+    return block
+
+
+def _parse_json_input(path: str) -> tuple[StratumInput, ...]:
     text = _read_text(path)
     try:
-        data = json.loads(text, object_pairs_hook=unique_keys, parse_float=_JsonNumber)
-    except ParseError as exc:  # a repeated key; only this path loads the code that places it
-        from .repeated_keys import placed
-
-        raise placed(exc, text, path) from None
+        data = json.loads(text, object_pairs_hook=_json_object, parse_float=_JsonNumber)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except RecursionError:
@@ -319,6 +329,7 @@ def _parse_json_input(path: str) -> tuple[StratumInput, ...]:
         raise ParseError(
             f"{path}: a number is too long; counts may have at most {MAX_RATIONAL_CHARS} digits"
         ) from None
+    _refuse_repeats(data, path)
     if not isinstance(data, dict) or not isinstance(data.get("strata"), list):
         raise ParseError(f"{path}: expected a top-level object with a 'strata' list")
     _refuse_unknown_keys(data, ("strata",), "key", path)
@@ -327,6 +338,7 @@ def _parse_json_input(path: str) -> tuple[StratumInput, ...]:
         where = f"{path}, stratum {i}"
         if not isinstance(raw, dict):
             raise ParseError(f"{where}: expected an object")
+        _refuse_repeats(raw, where)
         _refuse_unknown_keys(raw, _STRATUM_KEYS, "key", where)
         labels = _labels_from_mapping(raw.get("labels", {}), where)
         if "parameters" in raw:
@@ -337,6 +349,7 @@ def _parse_json_input(path: str) -> tuple[StratumInput, ...]:
         elif "experimental" in raw:
             for name in ("experimental", "observational"):
                 if isinstance(raw.get(name), dict):
+                    _refuse_repeats(raw[name], f"{where}, {name}")
                     _refuse_unknown_keys(
                         raw[name], ("treated", "untreated"), "arm", f"{where}, {name}"
                     )

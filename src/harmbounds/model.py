@@ -219,6 +219,8 @@ def degenerate_grid(n: int = 2) -> list[JointDistribution]:
     `itertools.combinations`.  Zero atoms give empty strata and risks of 0
     or 1; n = 8 reaches every sign pattern of the identified risks.
     """
+    if n < 1:
+        raise ValueError(f"the grid needs n of at least 1, got {n!r}")
     grid = []
     for bars in itertools.combinations(range(n + 7), 7):
         ends = (-1, *bars, n + 7)

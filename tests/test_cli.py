@@ -1067,16 +1067,33 @@ class TestInputBoundary:
         assert captured.out == ""
         assert captured.err == f"error: {path}{where}: key {key!r} is repeated\n"
 
-    def test_json_repeated_key_names_the_first_object_read(self, tmp_path, capsys):
-        """An inner object is read before the one around it; a repeat that a
-        second read cannot reach, past a syntax error, is named without a place."""
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                '{"strata": [{"labels": {"a": "1", "a": "2"}, "labels": {}}]}',
+                ", stratum 0: key 'labels' is repeated",
+            ),
+            (
+                '{"strata": [{"labels": {"a": "1", "a": "2"}}], ',
+                ": invalid JSON at line 1: Expecting property name enclosed in double quotes",
+            ),
+            (
+                '{"strata": [{"foo": 1, "parameters": {"p_do1": "1/2", "p_do0": "1/2"}}, '
+                '{"labels": {"a": "1", "a": "2"}, "parameters": {"p_do1": "1/2", "p_do0": "1/2"}}]}',
+                ", stratum 0: unknown key 'foo'",
+            ),
+        ],
+        ids=["outer-object", "not-json", "earlier-stratum"],
+    )
+    def test_json_repeated_key_is_met_in_reading_order(self, text, message, tmp_path, capsys):
+        """Of several faults the first met reading from the top is named: an
+        object before the objects inside it, and a stratum before the next
+        one.  A file that is not JSON is named as not JSON."""
         path = tmp_path / "study.json"
-        path.write_text('{"strata": [{"labels": {"a": "1", "a": "2"}, "labels": {}}]}')
+        path.write_text(text)
         assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
-        assert capsys.readouterr().err == f"error: {path}, stratum 0, labels: key 'a' is repeated\n"
-        path.write_text('{"strata": [{"labels": {"a": "1", "a": "2"}}], ')
-        assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
-        assert capsys.readouterr().err == f"error: {path}: key 'a' is repeated\n"
+        assert capsys.readouterr().err == f"error: {path}{message}\n"
 
     def test_json_number_parameter_is_read_from_its_digits(self, tmp_path, capsys):
         """A number with more digits than a float holds used to be rounded

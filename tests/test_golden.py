@@ -176,25 +176,81 @@ TRACED_SPANS = {
     "cli.analyze",
     "cli.json_dump",
 }
+# The spans of the harness workload's per-layer metrics.
+TRACED_VERIFY_SPANS = {
+    "cli.command_verify",
+    *(f"propositions.check_prop{i}" for i in range(1, 5)),
+    "model.sample_joint",
+    "model.observables_from_joint",
+}
 
 
-def test_benchmark_trace_sees_every_layer():
-    """`example` under the benchmark's own tracer, in a fresh interpreter
+@pytest.mark.parametrize(
+    "argv,spans",
+    [
+        (["example", "--format", "json"], TRACED_SPANS),
+        (["verify", "--samples", "2", "--seed", "1"], TRACED_VERIFY_SPANS),
+    ],
+    ids=["example", "verify"],
+)
+def test_benchmark_trace_sees_every_layer(argv, spans):
+    """A command under the benchmark's own tracer, in a fresh interpreter
     (the tracer rebinds module globals), records a span for every layer."""
     code = (
-        "import contextlib, io, json\n"
+        "import contextlib, io, json, sys\n"
         "import traced_run\n"
         "tracer = traced_run.Tracer()\n"
         "traced_run.install(tracer)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = traced_run.cli.main(['example', '--format', 'json'])\n"
+        "    code = traced_run.cli.main(sys.argv[1:])\n"
         "print(json.dumps([code, sorted({span[0] for span in tracer.spans})]))\n"
     )
+    code, recorded = json.loads(_run_with_bench(code, argv).stdout)
+    assert code == EXIT_OK
+    assert spans <= set(recorded), sorted(spans - set(recorded))
+
+
+def _run_with_bench(code: str, argv: list[str]) -> subprocess.CompletedProcess:
+    """`code` run with `argv` in a fresh interpreter that imports from src/ and bench/."""
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")])
     # No bytecode is written, so the run leaves bench/ as it found it.
     env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
     assert result.returncode == 0, result.stderr
-    code, spans = json.loads(result.stdout)
-    assert code == EXIT_OK
-    assert TRACED_SPANS <= set(spans), sorted(TRACED_SPANS - set(spans))
+    return result
+
+
+# Generates each seed-1 workload, writing a study under the directory argv[1],
+# runs the CLI on it and prints the verdict of the benchmark's check.
+CHECK_SEED1_OUTPUTS = """
+import contextlib, io, json, pathlib, sys
+import checks, workloads
+from harmbounds.cli import main
+
+verdicts = {}
+for name, generate in workloads.GENERATORS.items():
+    workload, out = generate(1), io.StringIO()
+    if name == "harness":
+        argv = ["verify", "--samples", str(workload.harness_samples), "--seed", str(workload.verify_seed)]
+    else:
+        study = pathlib.Path(sys.argv[1], name + ".json")
+        study.write_bytes(workload.study_bytes)
+        argv = ["analyze", "--input", str(study), "--format", "json"]
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    if name == "harness":
+        verdicts[name] = checks.check_verify(workload, out.getvalue(), code)
+    else:
+        verdicts[name] = checks.check_analyze(workload, json.loads(out.getvalue()), code)
+print(json.dumps(verdicts))
+"""
+
+
+def test_benchmark_checks_pass_on_seed1_outputs(tmp_path):
+    """The benchmark's own correctness checks, which import the LP oracle,
+    `EvidenceSet` and the model's true estimands from src/, pass on the
+    CLI's seed-1 outputs: a change to src/ cannot break them unseen."""
+    verdicts = json.loads(_run_with_bench(CHECK_SEED1_OUTPUTS, [str(tmp_path)]).stdout)
+    assert verdicts == {name: [0, []] for name in SEED1_SHA256}

@@ -157,6 +157,13 @@ class TestDegenerateFamily:
                 assert sum(j.atoms) == 1
                 assert all((p * n).denominator == 1 for p in j.atoms)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_grid_below_one_is_refused(self, n):
+        """n = 0 used to end in a ZeroDivisionError, and n = -1 in an empty
+        grid, over which a harness would check nothing and report ok."""
+        with pytest.raises(ValueError, match=f"got {n}$"):
+            degenerate_grid(n)
+
     def test_grid_is_unchanged(self):
         digest = hashlib.sha256()
         for j in degenerate_grid():

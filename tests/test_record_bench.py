@@ -104,3 +104,34 @@ def test_pairs_below_one_are_refused_before_any_run(record_bench, tmp_path, monk
         record_bench.main(argv)
     assert exit_info.value.code == 2
     assert "--pairs must be at least 1" in capsys.readouterr().err
+
+
+def _stub_tree(root: Path, modules: dict) -> Path:
+    """A checkout whose src/harmbounds/ holds `modules`, file name to text."""
+    package = root / "src" / "harmbounds"
+    package.mkdir(parents=True)
+    for name, text in modules.items():
+        (package / name).write_text(text)
+    (package / "notes.txt").write_text("not a module\n")
+    (root / "BENCHMARK.json").write_text(json.dumps({"workloads": [], "run_seconds": 1, "end_to_end": []}))
+    return root
+
+
+@pytest.mark.parametrize("paired", [False, True], ids=["checkout", "pair-with"])
+def test_src_lines_are_recorded(record_bench, tmp_path, monkeypatch, paired):
+    """`src_lines` holds each module's line count and the total, as
+    `wc -l src/harmbounds/*.py` counts them (a last line without a newline
+    is not counted); with `--pair-with`, the other tree's go under `pairs`."""
+    change = _stub_tree(tmp_path / "change", {"cli.py": "a\nb\nc\n", "__init__.py": "", "model.py": "x\ny"})
+    base = _stub_tree(tmp_path / "base", {"cli.py": "a\n" * 5, "old.py": "z\n"})
+    monkeypatch.setattr(record_bench, "tier1", lambda checkout: {"summary": "1 passed in 0.01s"})
+    out = tmp_path / "BENCH.json"
+    argv = ["--pr", "0", "--checkout", str(change), "--out", str(out)]
+    assert record_bench.main(argv + (["--pair-with", str(base)] if paired else [])) == 0
+
+    record = json.loads(out.read_text())
+    assert record["src_lines"] == {"modules": {"__init__.py": 0, "cli.py": 3, "model.py": 1}, "total": 4}
+    if paired:
+        assert record["pairs"]["src_lines"] == {"modules": {"cli.py": 5, "old.py": 1}, "total": 6}
+    else:
+        assert "pairs" not in record

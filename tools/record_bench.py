@@ -6,6 +6,8 @@ declares, runs the checkout's own ``bench/run.py --workload W --seed S
 --seconds T`` at ``--trace 0`` and at ``--trace 1``, and keeps the JSON
 result each run prints as its last stdout line: every metric with its unit,
 ``attempted`` and ``failed``.  T defaults to the file's ``run_seconds``.
+It also records ``src_lines``, the line count of each module under
+``src/harmbounds/`` and their total, as ``wc -l src/harmbounds/*.py`` counts.
 
     python3 tools/record_bench.py --pr N
     python3 tools/record_bench.py --pr M --checkout ../parent --commit <sha> --out BENCH_M.json
@@ -17,7 +19,7 @@ alternately first, and adds them to the file under ``pairs.workloads``.
 For each end-to-end metric of the checkout's ``BENCHMARK.json`` it also
 records both sides' median and quartiles and ``change_wins``: the pairs in
 which the checkout did better, in the metric's ``better`` direction (a tie
-counts for neither side).
+counts for neither side).  DIR's ``src_lines`` go under ``pairs`` too.
 
 Only the standard library is used; nothing under ``bench/`` is changed.
 """
@@ -55,6 +57,13 @@ def commit_of(checkout: Path) -> tuple[str, bool]:
         return run.stdout.strip()
 
     return git("rev-parse", "HEAD"), bool(git("status", "--porcelain", "--untracked-files=no"))
+
+
+def src_lines(checkout: Path) -> dict:
+    """The newline count of each module under src/harmbounds/, by file name, and their total."""
+    paths = sorted((checkout / "src" / "harmbounds").glob("*.py"))
+    modules = {path.name: path.read_bytes().count(b"\n") for path in paths}
+    return {"modules": modules, "total": sum(modules.values())}
 
 
 def summary_counts(summary: str) -> dict:
@@ -144,6 +153,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "environment": {name: os.environ.get(name) for name in ENVIRONMENT},
+        "src_lines": src_lines(checkout),
     }
     print("tier-1 tests ...", flush=True)
     record["tier1"] = tier1(checkout)
@@ -157,7 +167,9 @@ def main(argv=None) -> int:
             record["workloads"][workload][f"trace{trace}"] = result
     if args.pair_with:
         base = args.pair_with.resolve()
-        record["pairs"] = {"base_commit": args.pair_commit or commit_of(base)[0], "workloads": {}}
+        record["pairs"] = {
+            "base_commit": args.pair_commit or commit_of(base)[0], "src_lines": src_lines(base), "workloads": {},
+        }
         for workload in workloads:
             print(f"{workload} pairs ...", flush=True)
             runs = pairs(checkout, base, workload, args.seed, seconds, args.pairs)
