@@ -2,23 +2,34 @@
 
 This is the tests' reference for the CLI's JSON writer: the writer's bytes
 must equal `json.dumps(report_to_json(report), indent=2)`.  It shares no
-code with the writer's templates (`cli._stratum_text`), so a field the
-writer renders wrongly shows as a difference.
+code with the writer (`cli._stratum_text`) or its rational renderer: it
+writes each decimal itself with the `decimal` module, so a field the writer
+renders wrongly shows as a difference.
 """
 
 from __future__ import annotations
 
+from decimal import Context, Decimal
 from fractions import Fraction
 
 from harmbounds import bounds as bounds_mod
 from harmbounds import propositions
-from harmbounds.cli import _LEVEL_NAMES, StratumReport, decimal_str
+from harmbounds.cli import _LEVEL_NAMES, StratumReport
+
+
+def _decimal(x: Fraction) -> tuple[str, bool]:
+    """The decimal of `x` in full when its denominator divides 10^12, and
+    otherwise rounded to 6 significant digits, with whether it is exact."""
+    n, d = x.numerator, x.denominator
+    if 10**12 % d == 0:
+        return format(Decimal(n) / Decimal(d), "f"), True
+    return str(Context(prec=6).divide(Decimal(n), Decimal(d))), False
 
 
 def _rat_json(x: Fraction | None) -> dict | None:
     if x is None:
         return None
-    decimal, exact = decimal_str(x)
+    decimal, exact = _decimal(x)
     return {"rational": str(x), "decimal": decimal, "exact": exact}
 
 

@@ -89,8 +89,9 @@ DEMO_PARAMETERS = {"p_do1": "51/100", "p_do0": "79/100", "pi1": "7/10", "q1": "3
 
 # The evidence of the JSON writer's cases: the demo stratum; an empty
 # natural-choice treated arm (q1 undefined, one cross risk); sources that
-# break both fusion inequalities; and experimental data alone, with a
-# 100-digit risk and one that renders as an inexact decimal.
+# break both fusion inequalities; experimental data alone, with a
+# 100-digit risk and one that renders as an inexact decimal; and
+# experimental risks of 1 and 0, whose every reported number is an integer.
 WRITER_EVIDENCE = {
     "demo": bounds_mod.EvidenceSet(
         ExperimentalParams(F(51, 100), F(79, 100)), ObservationalParams(F(7, 10), F(3, 10), F(3, 10))
@@ -102,6 +103,7 @@ WRITER_EVIDENCE = {
         ExperimentalParams(F(1, 10), F(9, 10)), ObservationalParams(F(1, 2), F(1, 2), F(1, 2))
     ),
     "experimental-only": bounds_mod.EvidenceSet(ExperimentalParams(F(10**99 - 7, 10**99), F(1, 3 * 10**13))),
+    "integer": bounds_mod.EvidenceSet(ExperimentalParams(F(1), F(0))),
 }
 
 
@@ -153,6 +155,14 @@ class TestRationalRendering:
             (F(1, 2**12), "0.000244140625", True),
             (F(1, 2**13), "0.000122070", False),
             (F(1, 10**13), "1E-13", False),
+            (F(7), "7", True),
+            (0, "0", True),
+            (1, "1", True),
+            (-1, "-1", True),
+            (7, "7", True),
+            (F(-1, 4), "-0.25", True),
+            (F(1, 10**12), "0.000000000001", True),
+            (F(1, 2 * 10**12), "5E-13", False),
         ],
     )
     def test_decimal_str(self, value, expected, exact):
@@ -448,8 +458,9 @@ class TestJsonReport:
             [({"arm": "empty"}, "empty-arm")],
             [({"sources": "apart"}, "incompatible")],
             [({"risks": "long"}, "experimental-only")],
+            [({"risks": "whole"}, "integer")],
         ],
-        ids=["unlabeled-stratum", "escapes", "empty-arm", "incompatible", "experimental-only"],
+        ids=["unlabeled-stratum", "escapes", "empty-arm", "incompatible", "experimental-only", "integer"],
     )
     def test_emitter_is_the_standard_indented_encoding(self, strata):
         """The writer's text is `json.dumps(..., indent=2)` of
@@ -467,14 +478,19 @@ class TestJsonReport:
 
     def test_emitter_cases_reach_every_shape(self):
         """The evidence of the cases above is what their names say."""
-        empty_arm, apart, alone = (
-            WRITER_EVIDENCE[name] for name in ("empty-arm", "incompatible", "experimental-only")
+        empty_arm, apart, alone, whole = (
+            WRITER_EVIDENCE[name] for name in ("empty-arm", "incompatible", "experimental-only", "integer")
         )
         assert empty_arm.p1.q1 is None and list(empty_arm.fusion.derived_cross_risks) == [0]
         assert len(apart.fusion.violations) == 2 and propositions.evidence_levels(apart)[1] is None
         p0_only, fused = propositions.evidence_levels(alone)
         assert fused is None and all(verdict.detected for verdict in p0_only.verdicts)
         assert not decimal_str(alone.p0.p_do0)[1]
+        (level, fused) = propositions.evidence_levels(whole)
+        ends = [end for interval in level.bounds.values() for end in interval]
+        ends += [verdict.value for verdict in level.verdicts if verdict.value is not None]
+        assert fused is None and len(ends) > len(level.bounds) * 2
+        assert all(end.denominator == 1 for end in [*whole.p0, *ends])
 
     @pytest.mark.parametrize(
         "load",
@@ -1657,6 +1673,22 @@ def test_no_program_module_imports_from_tests():
             else:
                 continue
             assert not {name.split(".")[0] for name in names} & test_modules, (path.name, names)
+
+
+def test_the_report_reference_imports_no_renderer():
+    """`report_reference` renders every number itself: of the CLI it takes
+    only the level names and the record type, so a renderer fault in the
+    writer cannot hide in the reference too."""
+    tree = ast.parse((Path(__file__).parent / "report_reference.py").read_text(encoding="utf-8"))
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("harmbounds.cli") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "harmbounds":
+            assert "cli" not in {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "harmbounds.cli":
+            taken |= {alias.name for alias in node.names}
+    assert taken == {"_LEVEL_NAMES", "StratumReport"}
 
 
 def _annotated(module):

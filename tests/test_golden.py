@@ -38,6 +38,13 @@ SEED1_SHA256 = {
     "screening_study": "e891ebcfe2dc97557f5e17a3814038130b2494aded42d0f88b0b60194c85c62c",
     "harness": "64ddf078a67fee0dc9141433cfd6d38dc76f57784601bdc51b4969982ac42152",
 }
+# The same on seed 2, recorded before the JSON writer became one flat pass per
+# stratum.  A speed claim is checked on this seed too, so its bytes are pinned.
+SEED2_SHA256 = {
+    "fused_study": "84fc8d5b70b0add707c1dd7cabc992ea1a265bb0250895c3a804fce140c2fb39",
+    "screening_study": "b09513fc2aa56e6ed4d8591c44f1c408d0f94c06a3a1ccb9eff6276657825ca7",
+    "harness": "64ddf078a67fee0dc9141433cfd6d38dc76f57784601bdc51b4969982ac42152",
+}
 
 SAMPLE_SEEDS = range(8)
 # Constructed strata: P(A*=1) = 0 with a forced marginal, P(A*=1) = 1 with a
@@ -142,10 +149,8 @@ def bench_workloads():
         del sys.modules[spec.name]
 
 
-@pytest.mark.parametrize("name", sorted(SEED1_SHA256))
-def test_benchmark_seed1_output_is_unchanged(name, bench_workloads, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("HARMBOUNDS_COLOR", "never")
-    workload = bench_workloads.GENERATORS[name](1)
+def _benchmark_output_sha256(workload, name, tmp_path, capsys) -> str:
+    """The sha256 of the CLI's stdout on one generated benchmark workload."""
     if name == "harness":
         argv = ["verify", "--samples", str(workload.harness_samples), "--seed", str(workload.verify_seed)]
     else:
@@ -153,8 +158,21 @@ def test_benchmark_seed1_output_is_unchanged(name, bench_workloads, tmp_path, ca
         study.write_bytes(workload.study_bytes)
         argv = ["analyze", "--input", str(study), "--format", "json"]
     assert main(argv) == EXIT_OK
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SEED1_SHA256[name]
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SEED1_SHA256))
+def test_benchmark_seed1_output_is_unchanged(name, bench_workloads, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HARMBOUNDS_COLOR", "never")
+    workload = bench_workloads.GENERATORS[name](1)
+    assert _benchmark_output_sha256(workload, name, tmp_path, capsys) == SEED1_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(SEED2_SHA256))
+def test_benchmark_seed2_output_is_unchanged(name, bench_workloads, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HARMBOUNDS_COLOR", "never")
+    workload = bench_workloads.GENERATORS[name](2)
+    assert _benchmark_output_sha256(workload, name, tmp_path, capsys) == SEED2_SHA256[name]
 
 
 # The spans that the benchmark's per-layer metrics are read from.  The traced
