@@ -19,23 +19,14 @@ import json
 import os
 import re
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 from decimal import Context
 from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import propositions
-from .errors import (
-    HarmboundsError,
-    ParseError,
-    ValidationError,
-)
-from .model import (
-    ATOM_KEYS,
-    ExperimentalParams,
-    ObservationalParams,
-    as_prob,
-)
+from .errors import HarmboundsError, ParseError, ValidationError
+from .model import ATOM_KEYS, ExperimentalParams, ObservationalParams, as_prob
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,19 +72,31 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"not a rational number: {text!r}") from exc
 
 
-def decimal_str(x: Fraction) -> tuple[str, bool]:
-    """Decimal rendering plus an exactness flag.
+def _rational_fields(x: Fraction) -> tuple[str, str, str]:
+    """A rational's three JSON fields, from its integer numerator and
+    denominator: its text, its decimal and whether that decimal is exact
+    (`true` or `false`).
 
     A value renders exactly when its decimal ends within 12 places, that
     is when its denominator divides 10^12; everything else is rounded to 6
     significant digits.
     """
     numerator, denominator = x.numerator, x.denominator
-    if 10**12 % denominator == 0:
-        whole, frac = divmod(abs(numerator) * 10**12 // denominator, 10**12)
-        places = ("%012d" % frac).rstrip("0")
-        return ("-" if numerator < 0 else "") + str(whole) + ("." + places if places else ""), True
-    return str(_SIX_DIGITS.divide(numerator, denominator)), False
+    if denominator == 1:
+        text = str(numerator)
+        return text, text, "true"
+    text = "%d/%d" % (numerator, denominator)
+    if 10**12 % denominator:
+        return text, str(_SIX_DIGITS.divide(numerator, denominator)), "false"
+    whole, frac = divmod(abs(numerator) * (10**12 // denominator), 10**12)
+    sign = "-" if numerator < 0 else ""
+    return text, sign + str(whole) + "." + ("%012d" % frac).rstrip("0"), "true"
+
+
+def decimal_str(x: Fraction) -> tuple[str, bool]:
+    """The decimal of `_rational_fields` and whether it is exact."""
+    _, decimal, exact = _rational_fields(x)
+    return decimal, exact == "true"
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +217,9 @@ def _stratum_from_parameters(
             if required:
                 raise ParseError(f"{where}: missing parameter {key!r}")
             return None
+        if isinstance(params[key], (bool, dict, list)):  # `str` would quote Python's spelling of it
+            kind = {bool: "a boolean", list: "an array"}.get(type(params[key]), "an object")
+            raise ParseError(f"{where}, parameter {key!r}: expected a number or a string, got {kind}")
         try:
             return as_prob(parse_rational(str(params[key])))
         except ParseError as exc:
@@ -311,9 +317,10 @@ class _Repeats(dict):
 def _json_object(pairs: list[tuple[str, object]]) -> dict:
     block = dict(pairs)
     if len(block) < len(pairs):
-        keys = [key for key, _ in pairs]
+        # One count of every key; a dict lists each key where it first occurs.
+        counts = Counter(key for key, _ in pairs)
         block = _Repeats(block)
-        block.repeated = next(key for key in keys if keys.count(key) > 1)
+        block.repeated = next(key for key in block if counts[key] > 1)
     return block
 
 
@@ -584,89 +591,75 @@ _quote = json.encoder.encode_basestring_ascii  # the C helper behind json.dumps
 _BOOL = ("false", "true")
 
 
-def _lines(depth: int, members: list[str], brackets: str = "{}") -> str:
-    """The `json.dumps(..., indent=2)` text of an object (or, with brackets
-    "[]", an array) whose brackets sit `depth` spaces in, holding the texts
-    `members`, one to a line."""
-    if not members:
-        return brackets
+def _template(depth: int, *members: str) -> str:
+    """A `%` template of an object whose braces sit `depth` spaces in, one member to a line."""
     pad = "\n" + " " * (depth + 2)
-    return brackets[0] + pad + ("," + pad).join(members) + "\n" + " " * depth + brackets[1]
+    return "{" + pad + ("," + pad).join(members) + "\n" + " " * depth + "}"
 
 
-# The objects of fixed shape in the report's JSON document, as `%` templates.  A rational's
-# fields are ASCII digits, signs, dots and slashes, so they need no escaping.
-_RATIONAL_TEXT = {
-    depth: _lines(depth, ['"rational": "%s"', '"decimal": "%s"', '"exact": %s']) for depth in (8, 10, 12)
-}
-_INTERVAL = _lines(10, ['"lower": ' + _RATIONAL_TEXT[12], '"upper": ' + _RATIONAL_TEXT[12], '"point": %s'])
-_VERDICT = _lines(10, ['"school": %s', '"detected": %s', '"witness": %s', '"value": %s'])
-_LEVEL_KEYS = ['"%s": ' % name for name, _, _ in _LEVEL_NAMES]
-_P0 = _lines(6, ['"p_do1": %s', '"p_do0": %s'])
-_P1 = _lines(6, ['"pi1": %s', '"q1": %s', '"q0": %s'])
-_FUSION = _lines(6, ['"compatible": %s', '"violations": %s', '"cross_risks": %s'])
-_STRATUM = _lines(
-    4, ['"%s": %%s' % key for key in ("labels", "p0", "p1", "fusion", "bounds", "verdicts", "incompatible")]
-)
-
-
-def _rational_text(depth: int, x: Fraction | None) -> str:
-    if x is None:
-        return "null"
-    decimal, exact = decimal_str(x)
-    return _RATIONAL_TEXT[depth] % (x, decimal, _BOOL[exact])
-
-
-def _interval_text(interval: bounds_mod.Interval | None) -> str:
-    if interval is None:
-        return "null"
-    lower, upper = str(interval.lower), str(interval.upper)
-    lower_decimal, lower_exact = decimal_str(interval.lower)
-    upper_decimal, upper_exact = decimal_str(interval.upper)
-    # A rational's text is canonical, so equal texts are equal ends.
-    return _INTERVAL % (
-        lower, lower_decimal, _BOOL[lower_exact], upper, upper_decimal, _BOOL[upper_exact], _BOOL[lower == upper]
-    )
-
-
-def _verdict_text(verdict: propositions.Verdict) -> str:
-    witness = "null" if verdict.witness is None else _quote(verdict.witness)
-    return _VERDICT % (
-        _quote(verdict.school), _BOOL[verdict.detected], witness, _rational_text(12, verdict.value)
-    )
+# The objects of fixed shape in the `json.dumps(..., indent=2)` text of the report's JSON
+# document, as `%` templates.  A rational's fields are ASCII digits, signs, dots and
+# slashes, so they need no escaping.
+_R8, _R10, _R12 = (_template(depth, '"rational": "%s"', '"decimal": "%s"', '"exact": %s') for depth in (8, 10, 12))
+_INTERVAL = _template(10, '"lower": ' + _R12, '"upper": ' + _R12, '"point": %s')
+_VERDICT = _template(10, '"school": %s', '"detected": %s', '"witness": %s', '"value": %s')
+_LEVEL_KEYS = [("," if i else "") + '\n        "%s": ' % name for i, (name, _, _) in enumerate(_LEVEL_NAMES)]
 
 
 def _stratum_text(sr: StratumReport) -> str:
     """The text of the stratum's entry in the `json.dumps(..., indent=2)`
-    text of the report's JSON document, written from its records."""
+    text of the report's JSON document, written from its records in one pass."""
     evidence = sr.stratum.evidence
     p0, p1, fusion = evidence.p0, evidence.p1, evidence.fusion
-    p1_text = fusion_text = "null"
-    if p1 is not None:
-        p1_text = _P1 % (_rational_text(8, p1.pi1), _rational_text(8, p1.q1), _rational_text(8, p1.q0))
-        cross_risks = sorted(fusion.derived_cross_risks.items())
-        fusion_text = _FUSION % (
-            _BOOL[fusion.compatible],
-            _lines(8, [_quote(v) for v in fusion.violations], "[]"),
-            _lines(8, [_quote(str(a)) + ": " + _rational_text(10, risk) for a, risk in cross_risks]),
+    labels = ",\n        ".join(_quote(key) + ": " + _quote(value) for key, value in sr.stratum.labels)
+    out = [
+        '{\n      "labels": ', "{\n        " + labels + "\n      }" if labels else "{}",
+        ',\n      "p0": {\n        "p_do1": ', _R8 % _rational_fields(p0.p_do1),
+        ',\n        "p_do0": ', _R8 % _rational_fields(p0.p_do0), '\n      },\n      "p1": ',
+    ]
+    if p1 is None:
+        out.append('null,\n      "fusion": null')
+    else:
+        violations = ",\n          ".join(map(_quote, fusion.violations))
+        risks = ",\n          ".join(
+            '"%d": ' % a + _R10 % _rational_fields(risk) for a, risk in sorted(fusion.derived_cross_risks.items())
         )
-    bounds, verdicts = [], []
-    for name, level in zip(_LEVEL_KEYS, sr.levels):
+        out += [
+            '{\n        "pi1": ', _R8 % _rational_fields(p1.pi1),
+            ',\n        "q1": ', "null" if p1.q1 is None else _R8 % _rational_fields(p1.q1),
+            ',\n        "q0": ', "null" if p1.q0 is None else _R8 % _rational_fields(p1.q0),
+            '\n      },\n      "fusion": {\n        "compatible": ', _BOOL[fusion.compatible],
+            ',\n        "violations": ', "[\n          " + violations + "\n        ]" if violations else "[]",
+            ',\n        "cross_risks": ', "{\n          " + risks + "\n        }" if risks else "{}", "\n      }",
+        ]
+    # A present level always holds bounds and verdicts, so neither of its objects is empty.
+    bounds, verdicts = [',\n      "bounds": {'], ['\n      },\n      "verdicts": {']
+    for key, level in zip(_LEVEL_KEYS, sr.levels):
         if level is None:
-            bounds.append(name + "null")
-            verdicts.append(name + "null")
-        else:
-            bounds.append(name + _lines(8, [_quote(k) + ": " + _interval_text(iv) for k, iv in level.bounds.items()]))
-            verdicts.append(name + _lines(8, [_quote(v.school) + ": " + _verdict_text(v) for v in level.verdicts]))
-    return _STRATUM % (
-        _lines(6, [_quote(key) + ": " + _quote(value) for key, value in sr.stratum.labels]),
-        _P0 % (_rational_text(8, p0.p_do1), _rational_text(8, p0.p_do0)),
-        p1_text,
-        fusion_text,
-        _lines(6, bounds),
-        _lines(6, verdicts),
-        _BOOL[sr.incompatible],
-    )
+            bounds += [key, "null"]
+            verdicts += [key, "null"]
+            continue
+        member = key + "{\n          "
+        for name, interval in level.bounds.items():
+            if interval is None:
+                bounds += [member, _quote(name), ": null"]
+            else:
+                # A rational's text is canonical, so equal texts are equal ends.
+                lower, upper = _rational_fields(interval.lower), _rational_fields(interval.upper)
+                bounds += [member, _quote(name), ": ", _INTERVAL % (*lower, *upper, _BOOL[lower[0] == upper[0]])]
+            member = ",\n          "
+        member = key + "{\n          "
+        for verdict in level.verdicts:
+            school, witness = _quote(verdict.school), verdict.witness
+            value = "null" if verdict.value is None else _R12 % _rational_fields(verdict.value)
+            witness = "null" if witness is None else _quote(witness)
+            verdicts += [member, school, ": ", _VERDICT % (school, _BOOL[verdict.detected], witness, value)]
+            member = ",\n          "
+        bounds.append("\n        }")
+        verdicts.append("\n        }")
+    out += bounds + verdicts
+    out += ['\n      },\n      "incompatible": ', _BOOL[sr.incompatible], "\n    }"]
+    return "".join(out)
 
 
 class _StratumEncoder(json.JSONEncoder):

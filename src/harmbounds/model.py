@@ -34,7 +34,7 @@ def as_prob(value: Fraction | int) -> Fraction:
         value = Fraction(value)
     elif type(value) is not Fraction:
         raise TypeError(f"expected an int or a Fraction, got {value!r}")
-    if not ZERO <= value <= ONE:
+    if not 0 <= value.numerator <= value.denominator:  # on the integers: no `numbers` ABC check
         raise ValueError(f"probability outside [0, 1]: {value}")
     return value
 
@@ -108,13 +108,14 @@ class ObservationalParams(namedtuple("ObservationalParams", "pi1 q1 q0")):
         pi1 = as_prob(pi1)
         q1 = None if q1 is None else as_prob(q1)
         q0 = None if q0 is None else as_prob(q0)
-        if pi1 == 0 and q1 is not None:
+        empty1, empty0 = pi1.numerator == 0, pi1.numerator == pi1.denominator  # is A*=1, A*=0 empty?
+        if empty1 and q1 is not None:
             raise ValueError("q1 must be undefined when P(A*=1) = 0")
-        if pi1 > 0 and q1 is None:
+        if not empty1 and q1 is None:
             raise ValueError("q1 required when P(A*=1) > 0")
-        if pi1 == 1 and q0 is not None:
+        if empty0 and q0 is not None:
             raise ValueError("q0 must be undefined when P(A*=0) = 0")
-        if pi1 < 1 and q0 is None:
+        if not empty0 and q0 is None:
             raise ValueError("q0 required when P(A*=0) > 0")
         return super().__new__(cls, pi1, q1, q0)
 

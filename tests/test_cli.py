@@ -9,6 +9,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import typing
 from fractions import Fraction
@@ -1110,6 +1111,43 @@ class TestInputBoundary:
         path.write_text(text)
         assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {path}{message}\n"
+
+    def test_json_repeated_key_among_many_is_refused_quickly(self, tmp_path, capsys):
+        """The repeated key used to be found by counting each key in a list of
+        them all: 100,000 labels with the last one repeated took minutes."""
+        labels = ", ".join(f'"k{i}": "v"' for i in range(100_000))
+        path = tmp_path / "study.json"
+        path.write_text(
+            f'{{"strata": [{{"labels": {{{labels}, "k99999": "w"}}, '
+            '"parameters": {"p_do1": "1/2", "p_do0": "1/2"}}]}'
+        )
+        start = time.perf_counter()
+        assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr().err == f"error: {path}, stratum 0, labels: key 'k99999' is repeated\n"
+
+    @pytest.mark.parametrize(
+        "value,kind",
+        [("true", "a boolean"), ("false", "a boolean"), ('{"x": 1}', "an object"), ("[1]", "an array"), ("[]", "an array")],
+        ids=["true", "false", "object", "array", "empty-array"],
+    )
+    def test_json_parameter_of_another_type_is_refused_by_its_type(self, value, kind, tmp_path, capsys):
+        """Such a parameter used to be quoted as Python writes it, text that is
+        not in the file: `true` as 'True' and `{"x": 1}` as "{'x': 1}"."""
+        path = tmp_path / "study.json"
+        path.write_text(f'{{"strata": [{{"parameters": {{"p_do1": {value}, "p_do0": "1/2"}}}}]}}')
+        assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}, stratum 0, parameter 'p_do1': expected a number or a string, got {kind}\n"
+        )
+
+    def test_json_null_parameter_is_absent(self, tmp_path, capsys):
+        path = tmp_path / "study.json"
+        path.write_text('{"strata": [{"parameters": {"p_do1": "1/2", "p_do0": "1/2", "pi1": null}}]}')
+        assert main(["analyze", "--input", str(path), "--format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["strata"][0]["p1"] is None
 
     def test_json_number_parameter_is_read_from_its_digits(self, tmp_path, capsys):
         """A number with more digits than a float holds used to be rounded
