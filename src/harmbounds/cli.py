@@ -35,6 +35,7 @@ EXIT_COUNTEREXAMPLE = 3
 
 # Longest accepted rational parameter; longer text is refused before any arithmetic.
 MAX_RATIONAL_CHARS = 100
+_COUNT_LIMIT = 10**MAX_RATIONAL_CHARS  # the smallest count with too many digits
 # Largest accepted study, about 200,000 strata of JSON; a longer one is an error.
 MAX_INPUT_BYTES = 64 * 1024 * 1024
 _READ_CHUNK = 64 * 1024
@@ -53,9 +54,11 @@ _CSV_HEADER = [
     "obs_c_events",
     "obs_c_total",
 ]
-# The only keys a JSON stratum and its `parameters` block may hold.
+# The only keys a JSON stratum, its `parameters` block, an arm block and an arm may hold.
 _STRATUM_KEYS = ("labels", "experimental", "observational", "parameters")
 _PARAMETER_KEYS = ("p_do1", "p_do0", "pi1", "q1", "q0")
+_ARMS = ("treated", "untreated")
+_COUNT_KEYS = ("events", "total")
 
 
 # ---------------------------------------------------------------------------
@@ -149,122 +152,92 @@ class StudyInput(namedtuple("StudyInput", "strata")):
         return super().__new__(cls, strata)
 
 
-def _cell(block: object, arm: str, where: str) -> tuple[int, int]:
-    """The (events, total) integer counts of one arm; bools and floats are not counts."""
-    cell = block.get(arm) if isinstance(block, dict) else None
-    if not isinstance(cell, dict):
-        raise ParseError(f"{where}: expected an object with events/total counts")
-    _refuse_repeats(cell, where)
-    _refuse_unknown_keys(cell, ("events", "total"), "key", where)
-    events, total = cell.get("events"), cell.get("total")
-    if type(events) is not int or type(total) is not int:
-        raise ParseError(
-            f"{where}: events and total must be integers, got {events!r} and {total!r}"
-        )
-    if max(abs(events), abs(total)) >= 10**MAX_RATIONAL_CHARS:
-        raise ParseError(f"{where}: counts may have at most {MAX_RATIONAL_CHARS} digits")
-    if total < 0:
-        raise ValidationError(f"{where}: total must not be negative, got {total}")
-    if events < 0 or events > total:
-        raise ValidationError(f"{where}: events {events} outside [0, {total}]")
-    return events, total
+def _object(block: dict, where: str, known: tuple | None = None, what: str = "key", repeats_at: str = "") -> None:
+    """Refuses a repeated key, named at `repeats_at` if given, and then the
+    first key, in written order, outside `known` (any key when None)."""
+    if type(block) is _Repeats:
+        raise ParseError(f"{repeats_at or where}: key {block.repeated!r} is repeated")
+    for key in block if known else ():
+        if key not in known:
+            raise ParseError(f"{where}: unknown {what} {key!r}")
 
 
-def _risk(block: object, arm: str, where: str) -> Fraction:
-    """The event proportion of an experimental arm, which needs patients."""
-    events, total = _cell(block, arm, where)
-    if total == 0:
-        raise ValidationError(f"{where}: total must be positive, got 0")
-    return Fraction(events, total)
+def _counts(arms, name: str, where: str) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The treated and untreated (events, total) of the `name` block, from
+    its arms' (arm, events, total) in reading order; each arm is checked as
+    it comes.  Both formats' counts pass here, so both keep one set of rules."""
+    counts = {}
+    for arm, events, total in arms:
+        if total < 0:
+            raise ValidationError(f"{where}, {name}.{arm}: total must not be negative, got {total}")
+        if events < 0 or events > total:
+            raise ValidationError(f"{where}, {name}.{arm}: events {events} outside [0, {total}]")
+        if total == 0 and name == "experimental":  # an experimental risk needs patients
+            raise ValidationError(f"{where}, {name}.{arm}: total must be positive, got 0")
+        counts[arm] = events, total
+    treated, untreated = counts["treated"], counts["untreated"]
+    if treated[1] + untreated[1] == 0:  # only a natural-choice block gets here with no patients
+        raise ValidationError(f"{where}, {name}: both arms have total 0")
+    return treated, untreated
 
 
-def _stratum_from_counts(
-    labels: tuple[tuple[str, str], ...],
-    experimental: object,
-    observational: object,
-    where: str,
-) -> StratumInput:
-    p0 = ExperimentalParams(
-        _risk(experimental, "treated", f"{where}, experimental.treated"),
-        _risk(experimental, "untreated", f"{where}, experimental.untreated"),
-    )
+def _evidence(experimental: tuple, observational: tuple | None) -> bounds_mod.EvidenceSet:
+    """The evidence of a stratum's checked counts, each block a (treated, untreated) pair."""
     p1 = None
     if observational is not None:
         # A natural-choice arm may be empty: its A* stratum then has mass 0
         # and its observed risk is undefined.
-        ot_events, ot_total = _cell(observational, "treated", f"{where}, observational.treated")
-        oc_events, oc_total = _cell(observational, "untreated", f"{where}, observational.untreated")
-        if ot_total + oc_total == 0:
-            raise ValidationError(f"{where}, observational: both arms have total 0")
+        (events1, total1), (events0, total0) = observational
         p1 = ObservationalParams(
-            Fraction(ot_total, ot_total + oc_total),
-            Fraction(ot_events, ot_total) if ot_total else None,
-            Fraction(oc_events, oc_total) if oc_total else None,
+            Fraction(total1, total1 + total0),
+            Fraction(events1, total1) if total1 else None,
+            Fraction(events0, total0) if total0 else None,
         )
-    return StratumInput(labels, bounds_mod.EvidenceSet(p0, p1))
+    return bounds_mod.EvidenceSet(ExperimentalParams(Fraction(*experimental[0]), Fraction(*experimental[1])), p1)
 
 
-def _stratum_from_parameters(
-    labels: tuple[tuple[str, str], ...], params: object, where: str
-) -> StratumInput:
+def _probability(value: object, key: str, where: str) -> Fraction:
+    if isinstance(value, (bool, dict, list)):  # `str` would quote Python's spelling of it
+        kind = {bool: "a boolean", list: "an array"}.get(type(value), "an object")
+        raise ParseError(f"{where}, parameter {key!r}: expected a number or a string, got {kind}")
+    try:
+        return as_prob(parse_rational(str(value)))
+    except ParseError as exc:
+        raise ParseError(f"{where}, parameter {key!r}: {exc}") from exc
+    except ValueError as exc:
+        raise ValidationError(f"{where}, parameter {key!r}: {exc}") from exc
+
+
+def _evidence_from_parameters(params: object, where: str) -> bounds_mod.EvidenceSet:
+    """The evidence of a `parameters` block, in which a `null` parameter is absent."""
     if not isinstance(params, dict):
         raise ParseError(f"{where}: parameters must be an object")
-    _refuse_repeats(params, f"{where}, parameters")
-    _refuse_unknown_keys(params, _PARAMETER_KEYS, "parameter", where)
-
-    def prob(key: str, required: bool = True) -> Fraction | None:
-        if key not in params or params[key] is None:
-            if required:
-                raise ParseError(f"{where}: missing parameter {key!r}")
-            return None
-        if isinstance(params[key], (bool, dict, list)):  # `str` would quote Python's spelling of it
-            kind = {bool: "a boolean", list: "an array"}.get(type(params[key]), "an object")
-            raise ParseError(f"{where}, parameter {key!r}: expected a number or a string, got {kind}")
-        try:
-            return as_prob(parse_rational(str(params[key])))
-        except ParseError as exc:
-            raise ParseError(f"{where}, parameter {key!r}: {exc}") from exc
-        except ValueError as exc:
-            raise ValidationError(f"{where}, parameter {key!r}: {exc}") from exc
-
-    p0 = ExperimentalParams(prob("p_do1"), prob("p_do0"))
-    p1 = None
-    pi1 = prob("pi1", required=False)
+    _object(params, where, _PARAMETER_KEYS, "parameter", f"{where}, parameters")
+    for key in ("p_do1", "p_do0"):
+        if params.get(key) is None:
+            raise ParseError(f"{where}: missing parameter {key!r}")
     for key in ("q1", "q0"):
-        if pi1 is None and params.get(key) is not None:
+        if params.get("pi1") is None and params.get(key) is not None:
             raise ParseError(f"{where}: parameter {key!r} needs 'pi1'")
-    if pi1 is not None:
+    probs = {key: _probability(value, key, where) for key, value in params.items() if value is not None}
+    p1 = None
+    if "pi1" in probs:
         try:
-            p1 = ObservationalParams(
-                pi1, prob("q1", required=False), prob("q0", required=False)
-            )
+            p1 = ObservationalParams(probs["pi1"], probs.get("q1"), probs.get("q0"))
         except ValueError as exc:
             raise ValidationError(f"{where}: {exc}") from exc
-    return StratumInput(labels, bounds_mod.EvidenceSet(p0, p1))
-
-
-def _refuse_repeats(block: object, where: str) -> None:
-    if type(block) is _Repeats:
-        raise ParseError(f"{where}: key {block.repeated!r} is repeated")
-
-
-def _refuse_unknown_keys(block: dict, known: tuple[str, ...], what: str, where: str) -> None:
-    for key in block:
-        if key not in known:
-            raise ParseError(f"{where}: unknown {what} {key!r}")
+    return bounds_mod.EvidenceSet(ExperimentalParams(probs["p_do1"], probs["p_do0"]), p1)
 
 
 def _labels_from_mapping(raw: object, where: str) -> tuple[tuple[str, str], ...]:
     if not isinstance(raw, dict):
         raise ParseError(f"{where}: labels must be a string-to-string mapping")
-    _refuse_repeats(raw, f"{where}, labels")
+    _object(raw, f"{where}, labels")
     for key, value in raw.items():
         if not key:
             raise ParseError(f"{where}: a label key is empty")
         if not isinstance(value, str):
-            raise ParseError(
-                f"{where}: labels must be a string-to-string mapping; label {key!r} is not a string"
-            )
+            raise ParseError(f"{where}: labels must be a string-to-string mapping; label {key!r} is not a string")
     return tuple(raw.items())
 
 
@@ -324,7 +297,31 @@ def _json_object(pairs: list[tuple[str, object]]) -> dict:
     return block
 
 
+def _json_arms(block: object, where: str):
+    """The (arm, events, total) of each arm of the JSON arm block at `where`, in the
+    order written, after the block's own faults; bools and floats are not counts."""
+    arms = block if isinstance(block, dict) else {}
+    _object(arms, where, _ARMS, "arm")
+    for arm in _ARMS:
+        if arm not in arms:
+            raise ParseError(f"{where}.{arm}: expected an object with events/total counts")
+    for arm, cell in arms.items():
+        at = f"{where}.{arm}"
+        if not isinstance(cell, dict):
+            raise ParseError(f"{at}: expected an object with events/total counts")
+        _object(cell, at, _COUNT_KEYS)
+        events, total = cell.get("events"), cell.get("total")
+        if type(events) is not int or type(total) is not int:
+            raise ParseError(f"{at}: events and total must be integers, got {events!r} and {total!r}")
+        if max(abs(events), abs(total)) >= _COUNT_LIMIT:
+            raise ParseError(f"{at}: counts may have at most {MAX_RATIONAL_CHARS} digits")
+        yield arm, events, total
+
+
 def _parse_json_input(path: str) -> tuple[StratumInput, ...]:
+    """The strata of a JSON study, read from the top: an object's own faults
+    (not an object, a repeated or unknown key, a missing or conflicting
+    member) come before its members, and its members in the order written."""
     text = _read_text(path)
     try:
         data = json.loads(text, object_pairs_hook=_json_object, parse_float=_JsonNumber)
@@ -336,56 +333,49 @@ def _parse_json_input(path: str) -> tuple[StratumInput, ...]:
         raise ParseError(
             f"{path}: a number is too long; counts may have at most {MAX_RATIONAL_CHARS} digits"
         ) from None
-    _refuse_repeats(data, path)
+    if isinstance(data, dict):
+        _object(data, path, ("strata",))
     if not isinstance(data, dict) or not isinstance(data.get("strata"), list):
         raise ParseError(f"{path}: expected a top-level object with a 'strata' list")
-    _refuse_unknown_keys(data, ("strata",), "key", path)
     strata = []
     for i, raw in enumerate(data["strata"]):
         where = f"{path}, stratum {i}"
         if not isinstance(raw, dict):
             raise ParseError(f"{where}: expected an object")
-        _refuse_repeats(raw, where)
-        _refuse_unknown_keys(raw, _STRATUM_KEYS, "key", where)
-        labels = _labels_from_mapping(raw.get("labels", {}), where)
+        _object(raw, where, _STRATUM_KEYS)
         if "parameters" in raw:
             for key in ("experimental", "observational"):
                 if key in raw:
                     raise ParseError(f"{where}: {key!r} cannot be combined with 'parameters'")
-            strata.append(_stratum_from_parameters(labels, raw["parameters"], where))
-        elif "experimental" in raw:
-            for name in ("experimental", "observational"):
-                if isinstance(raw.get(name), dict):
-                    _refuse_repeats(raw[name], f"{where}, {name}")
-                    _refuse_unknown_keys(
-                        raw[name], ("treated", "untreated"), "arm", f"{where}, {name}"
-                    )
-            strata.append(
-                _stratum_from_counts(labels, raw["experimental"], raw.get("observational"), where)
-            )
-        else:
+        elif "experimental" not in raw:
             raise ParseError(f"{where}: needs 'experimental' counts or 'parameters'")
+        labels, blocks = (), {"observational": None}
+        for key, value in raw.items():
+            if key == "labels":
+                labels = _labels_from_mapping(value, where)
+            elif key == "parameters":
+                evidence = _evidence_from_parameters(value, where)
+            elif value is not None or key == "experimental":  # a null natural-choice block is absent
+                blocks[key] = _counts(_json_arms(value, f"{where}, {key}"), key, where)
+        if "parameters" not in raw:
+            evidence = _evidence(**blocks)
+        strata.append(StratumInput(labels, evidence))
     return tuple(strata)
 
 
-def _csv_cells(row: list[str], first: int, where: str) -> dict:
-    """The four count fields from column `first` on, as a counts block."""
-    counts = []
-    for column in range(first, first + 4):
-        text = row[column].strip()
-        if not (text.isascii() and text.isdigit()):
-            raise ParseError(
-                f"{where}, {_CSV_HEADER[column]}: expected a whole number, got {row[column]!r}"
-            )
-        if len(text) > MAX_RATIONAL_CHARS:
-            raise ParseError(
-                f"{where}, {_CSV_HEADER[column]}: counts may have at most {MAX_RATIONAL_CHARS} digits"
-            )
-        counts.append(int(text))
-    return {
-        "treated": {"events": counts[0], "total": counts[1]},
-        "untreated": {"events": counts[2], "total": counts[3]},
-    }
+def _csv_count(row: list[str], column: int, where: str) -> int:
+    text = row[column].strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"{where}, {_CSV_HEADER[column]}: expected a whole number, got {row[column]!r}")
+    if len(text) > MAX_RATIONAL_CHARS:
+        raise ParseError(f"{where}, {_CSV_HEADER[column]}: counts may have at most {MAX_RATIONAL_CHARS} digits")
+    return int(text)
+
+
+def _csv_arms(row: list[str], first: int, where: str):
+    """The (arm, events, total) of the two arms whose fields start at column `first`."""
+    for arm, column in (("treated", first), ("untreated", first + 2)):
+        yield arm, _csv_count(row, column, where), _csv_count(row, column + 1, where)
 
 
 def _csv_labels(cell: str, where: str) -> tuple[tuple[str, str], ...]:
@@ -431,16 +421,15 @@ def _parse_csv_input(path: str) -> tuple[StratumInput, ...]:
         where = f"{path}, line {lineno}"
         if len(row) != len(_CSV_HEADER):
             raise ParseError(f"{where}: expected {len(_CSV_HEADER)} fields")
-        labels = _csv_labels(row[0], where)
+        labels = _csv_labels(row[0], where)  # then each arm left to right: its two fields, then its range
+        experimental = _counts(_csv_arms(row, 1, where), "experimental", where)
         obs_fields = [field.strip() for field in row[5:9]]
         observational = None
         if any(obs_fields):
             if not all(obs_fields):
                 raise ParseError(f"{where}: partial observational counts")
-            observational = _csv_cells(row, 5, where)
-        strata.append(
-            _stratum_from_counts(labels, _csv_cells(row, 1, where), observational, where)
-        )
+            observational = _counts(_csv_arms(row, 5, where), "observational", where)
+        strata.append(StratumInput(labels, _evidence(experimental, observational)))
     return tuple(strata)
 
 

@@ -719,6 +719,13 @@ class TestMain:
         for name in ("P1", "P2", "P3", "P4"):
             assert f"proposition {name}" in out
 
+    def test_verify_one_sample(self, capsys):
+        """The smallest run: the demo joint, the 36 constructed ones and one sample."""
+        assert main(["verify", "--samples", "1", "--seed", "0"]) == EXIT_OK
+        assert capsys.readouterr().out == "".join(
+            f"proposition {name}: 38 instances, ok\n" for name in ("P1", "P2", "P3", "P4")
+        )
+
     def test_verify_prints_reproducible_counterexamples(self, capsys, monkeypatch):
         """A broken bound makes `verify` exit 3 and print, after the
         proposition lines, a JSON list whose atoms rebuild each offending joint."""
@@ -1100,13 +1107,32 @@ class TestInputBoundary:
                 '{"labels": {"a": "1", "a": "2"}, "parameters": {"p_do1": "1/2", "p_do0": "1/2"}}]}',
                 ", stratum 0: unknown key 'foo'",
             ),
+            (
+                '{"strata": [{"experimental": {"treated": {"events": 5, "total": 3}, '
+                '"untreated": {"events": 1, "total": 10}}, "observational": {"treated": {"events": 1, "total": 5}, '
+                '"untreated": {"events": 1, "total": 5}, "bogus": 1}}]}',
+                ", stratum 0, experimental.treated: events 5 outside [0, 3]",
+            ),
+            (
+                '{"strata": [{"experimental": {"untreated": {"events": 5, "total": 3}, '
+                '"treated": {"events": 11, "total": 10}}}]}',
+                ", stratum 0, experimental.untreated: events 5 outside [0, 3]",
+            ),
+            (
+                '{"strata": [{"experimental": {"treated": {"events": 5, "total": 3}, '
+                '"untreated": {"events": 1, "total": 10}}, "labels": {"": "x"}}]}',
+                ", stratum 0, experimental.treated: events 5 outside [0, 3]",
+            ),
         ],
-        ids=["outer-object", "not-json", "earlier-stratum"],
+        ids=["outer-object", "not-json", "earlier-stratum", "earlier-block", "untreated-first", "labels-last"],
     )
     def test_json_repeated_key_is_met_in_reading_order(self, text, message, tmp_path, capsys):
         """Of several faults the first met reading from the top is named: an
-        object before the objects inside it, and a stratum before the next
-        one.  A file that is not JSON is named as not JSON."""
+        object's own faults before its members, its members in the order
+        they are written, and a stratum before the next one.  A file that is
+        not JSON is named as not JSON.  The arm blocks' keys used to be
+        checked before any count, each block's treated arm before its
+        untreated one, and the labels before any other member."""
         path = tmp_path / "study.json"
         path.write_text(text)
         assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
@@ -1148,6 +1174,16 @@ class TestInputBoundary:
         path.write_text('{"strata": [{"parameters": {"p_do1": "1/2", "p_do0": "1/2", "pi1": null}}]}')
         assert main(["analyze", "--input", str(path), "--format", "json"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["strata"][0]["p1"] is None
+
+    def test_json_null_observational_block_is_absent(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(DEMO_COUNTS))
+        del payload["strata"][0]["observational"]
+        assert main(["analyze", "--input", write_json(tmp_path, payload, "without.json"), "--format", "json"]) == EXIT_OK
+        without = capsys.readouterr().out
+        payload["strata"][0]["observational"] = None
+        assert main(["analyze", "--input", write_json(tmp_path, payload), "--format", "json"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == without and json.loads(out)["strata"][0]["p1"] is None
 
     def test_json_number_parameter_is_read_from_its_digits(self, tmp_path, capsys):
         """A number with more digits than a float holds used to be rounded
@@ -1473,6 +1509,23 @@ class TestInputBoundary:
         path.write_text(header + "\n" + ",,,\n" + row)
         assert main(["analyze", "--input", str(path), "--format", "json"]) == EXIT_OK
         assert capsys.readouterr().out == (GOLDEN / "example.json").read_text()
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("a=1,x,10,1,10,y,5,1,5", "exp_t_events: expected a whole number, got 'x'"),
+            ("a=2,11,10,1,10,1,5,1,x", "experimental.treated: events 11 outside [0, 10]"),
+        ],
+        ids=["fields", "range"],
+    )
+    def test_csv_row_is_read_left_to_right(self, row, message, tmp_path, capsys):
+        """Each arm's two fields and then its range, left to right: the
+        observational columns used to be read before the experimental ones."""
+        path = tmp_path / "study.csv"
+        path.write_text(CSV_HEADER + row + "\n")
+        assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {path}, line 2, {message}\n"
 
     def test_csv_counts_may_be_padded(self, tmp_path):
         path = tmp_path / "study.csv"

@@ -24,7 +24,7 @@ from harmbounds import (
 from harmbounds import bounds as bounds_mod
 from harmbounds import propositions
 from harmbounds.model import degenerate_grid
-from harmbounds.propositions import evidence_levels, joint_levels
+from harmbounds.propositions import Verdict, evidence_levels, joint_levels
 
 from conftest import joints
 
@@ -100,6 +100,65 @@ class TestCheckers:
     @settings(max_examples=100, deadline=None)
     def test_no_random_counterexamples(self, checker, joint):
         assert checker(*joint_levels(joint)) is None
+
+
+def _with_harm(lvl, lower, upper):
+    """The level with its P(harm) interval replaced by [lower, upper]."""
+    return lvl._replace(bounds={**lvl.bounds, "harm": Interval(F(lower), F(upper))})
+
+
+# The joint of `test_marginal_degeneracy_point_identifies`: P(Y=1|do(A=1)) = 1.
+TREATED_DIE = JointDistribution.from_mapping({(y0, 1, astar): F(1, 4) for y0 in (0, 1) for astar in (0, 1)})
+
+
+class TestCheckersCanFail:
+    """Each checker returns a counterexample on a hand-built pair of levels
+    that breaks its proposition, one case per direction of each
+    biconditional: a checker that could not fail would check nothing."""
+
+    def test_p1_counterfactual_without_interventionist(self):
+        p0_only, fused = joint_levels(UNIFORM)
+        detected = Verdict("counterfactual", True, "sharp lower bound on P(harm)", F(1, 8))
+        p0_only = p0_only._replace(verdicts=(p0_only.verdicts[0], detected))
+        assert check_prop1(p0_only, fused) == (
+            "experimental-only: counterfactual detected=True but interventionist detected=False"
+        )
+
+    def test_p1_interventionist_without_counterfactual(self, demo):
+        p0_only, fused = joint_levels(demo)
+        fused = fused._replace(verdicts=(fused.verdicts[0], Verdict("counterfactual", False)))
+        assert check_prop1(p0_only, fused) == "fused: counterfactual detected=False but interventionist detected=True"
+
+    def test_p2_point_without_degeneracy(self):
+        p0_only, fused = joint_levels(UNIFORM)
+        assert check_prop2(_with_harm(p0_only, F(1, 4), F(1, 4)), fused) == (
+            "experimental-only: point identification True but marginal degeneracy False"
+        )
+
+    def test_p2_degeneracy_without_point(self):
+        p0_only, fused = joint_levels(TREATED_DIE)
+        assert check_prop2(p0_only, _with_harm(fused, 0, F(1, 2))) == (
+            "fused: point identification False but stratum degeneracy True"
+        )
+
+    @pytest.mark.parametrize("point_level", ["p0_only", "fused"])
+    def test_p3_point_harm_without_split(self, point_level):
+        levels = dict(zip(("p0_only", "fused"), joint_levels(UNIFORM)))
+        levels[point_level] = _with_harm(levels[point_level], F(1, 4), F(1, 4))
+        details = check_prop3(**levels)
+        assert details is not None and details.startswith("A*=0: conditional benefit 0..1/2")
+
+    def test_p4_improvement_without_opposite_signs(self):
+        p0_only, fused = joint_levels(UNIFORM)  # both stratum ATEs are 0
+        assert check_prop4(p0_only, _with_harm(fused, F(1, 8), F(1, 2))) == (
+            "lower bound improved=True but opposite-sign stratum ATEs=False (ATE|A*=0 is 0, ATE|A*=1 is 0)"
+        )
+
+    def test_p4_opposite_signs_without_improvement(self, demo):
+        p0_only, fused = joint_levels(demo)  # the stratum ATEs are 7/10 and -7/10
+        assert check_prop4(p0_only, _with_harm(fused, 0, F(21, 100))) == (
+            "lower bound improved=False but opposite-sign stratum ATEs=True (ATE|A*=0 is 7/10, ATE|A*=1 is -7/10)"
+        )
 
 
 class TestRunHarness:
