@@ -31,6 +31,8 @@ from conftest import joints
 F = Fraction
 
 UNIFORM = JointDistribution(tuple(F(1, 8) for _ in range(8)))
+# Everyone dies when treated: P(Y=1|do(A=1)) = 1, in both A* strata.
+TREATED_DIE = JointDistribution.from_mapping({(y0, 1, astar): F(1, 4) for y0 in (0, 1) for astar in (0, 1)})
 
 
 class TestInterventionistVerdict:
@@ -86,14 +88,11 @@ class TestCheckers:
         assert harm_bounds(EvidenceSet(p0)) == Interval(0, F(1, 2))
 
     def test_marginal_degeneracy_point_identifies(self):
-        joint = JointDistribution.from_mapping(
-            {(y0, 1, astar): F(1, 4) for y0 in (0, 1) for astar in (0, 1)}
-        )
-        p0, _ = observables_from_joint(joint)
+        p0, _ = observables_from_joint(TREATED_DIE)
         assert p0.p_do1 == 1
         assert is_point_identified(harm_bounds(EvidenceSet(p0)))
-        assert check_prop2(*joint_levels(joint)) is None
-        assert check_prop3(*joint_levels(joint)) is None
+        assert check_prop2(*joint_levels(TREATED_DIE)) is None
+        assert check_prop3(*joint_levels(TREATED_DIE)) is None
 
     @pytest.mark.parametrize("checker", [check_prop1, check_prop2, check_prop3, check_prop4])
     @given(joint=joints())
@@ -105,10 +104,6 @@ class TestCheckers:
 def _with_harm(lvl, lower, upper):
     """The level with its P(harm) interval replaced by [lower, upper]."""
     return lvl._replace(bounds={**lvl.bounds, "harm": Interval(F(lower), F(upper))})
-
-
-# The joint of `test_marginal_degeneracy_point_identifies`: P(Y=1|do(A=1)) = 1.
-TREATED_DIE = JointDistribution.from_mapping({(y0, 1, astar): F(1, 4) for y0 in (0, 1) for astar in (0, 1)})
 
 
 class TestCheckersCanFail:
