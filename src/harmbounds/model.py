@@ -3,8 +3,9 @@
 Everything is computed with exact rationals (`fractions.Fraction`).  The
 central object is the joint law of the two potential outcomes and the
 natural treatment value, (Y under a=0, Y under a=1, A*), stored as 8
-nonnegative atoms summing to one.  Observable parameters of both data
-sources are functionals of this single joint.
+nonnegative integer weights over one positive total, in lowest terms; its
+atoms are the weights divided by the total.  Observable parameters of both
+data sources are functionals of this single joint.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -39,8 +40,9 @@ def as_prob(value: Fraction | int) -> Fraction:
     return value
 
 
-class JointDistribution(namedtuple("JointDistribution", "atoms")):
-    """Joint law of (Y^{a=0}, Y^{a=1}, A*): 8 exact atoms in ATOM_KEYS order."""
+class JointDistribution(namedtuple("JointDistribution", "weights total")):
+    """Joint law of (Y^{a=0}, Y^{a=1}, A*): atom i, in ATOM_KEYS order, is
+    weights[i] / total, in lowest terms, so equal atoms give equal joints."""
 
     __slots__ = ()
 
@@ -48,9 +50,29 @@ class JointDistribution(namedtuple("JointDistribution", "atoms")):
         if len(atoms) != 8:
             raise ValueError(f"expected 8 atoms, got {len(atoms)}")
         atoms = tuple(as_prob(p) for p in atoms)
-        if sum(atoms) != 1:
-            raise ValueError(f"atoms sum to {sum(atoms)}, expected 1")
-        return super().__new__(cls, atoms)
+        scale = lcm(*(p.denominator for p in atoms))
+        weights = [p.numerator * (scale // p.denominator) for p in atoms]
+        if sum(weights) != scale:
+            raise ValueError(f"atoms sum to {Fraction(sum(weights), scale)}, expected 1")
+        return cls.from_weights(weights)
+
+    @classmethod
+    def from_weights(cls, weights: list[int]) -> "JointDistribution":
+        """The joint whose atom i is weights[i] / sum(weights), for 8 nonnegative ints not all 0."""
+        if len(weights) != 8:
+            raise ValueError(f"expected 8 weights, got {len(weights)}")
+        for w in weights:
+            if type(w) is not int:
+                raise TypeError(f"expected an int weight, got {w!r}")
+            if w < 0:
+                raise ValueError(f"negative weight: {w}")
+        divisor = gcd(*weights)
+        if not divisor:
+            raise ValueError("the weights are all 0")
+        return super().__new__(cls, tuple(w // divisor for w in weights), sum(weights) // divisor)
+
+    def __reduce__(self):  # unpickled through the checking constructor
+        return type(self).from_weights, (self.weights,)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[AtomKey, Fraction | int]) -> "JointDistribution":
@@ -60,26 +82,21 @@ class JointDistribution(namedtuple("JointDistribution", "atoms")):
                 raise ValueError(f"unknown atom key {key!r}")
         return cls(tuple(mapping.get(key, 0) for key in ATOM_KEYS))
 
-    def __getitem__(self, key: AtomKey) -> Fraction:
-        return self.atoms[_ATOM_INDEX[key]]
+    @property
+    def atoms(self) -> tuple[Fraction, ...]:
+        """The 8 atoms as Fractions, in ATOM_KEYS order."""
+        return tuple(Fraction(w, self.total) for w in self.weights)
 
-    def mass(
-        self,
-        y0: int | None = None,
-        y1: int | None = None,
-        astar: int | None = None,
-    ) -> Fraction:
+    def __getitem__(self, key: AtomKey) -> Fraction:
+        return Fraction(self.weights[_ATOM_INDEX[key]], self.total)
+
+    def mass(self, y0: int | None = None, y1: int | None = None, astar: int | None = None) -> Fraction:
         """Total probability of all atoms matching the given coordinates."""
-        total = ZERO
-        for (k0, k1, ka), p in zip(ATOM_KEYS, self.atoms):
-            if y0 is not None and k0 != y0:
-                continue
-            if y1 is not None and k1 != y1:
-                continue
-            if astar is not None and ka != astar:
-                continue
-            total += p
-        return total
+        total = 0
+        for (k0, k1, ka), w in zip(ATOM_KEYS, self.weights):
+            if (y0 is None or k0 == y0) and (y1 is None or k1 == y1) and (astar is None or ka == astar):
+                total += w
+        return Fraction(total, self.total)
 
 
 class ExperimentalParams(namedtuple("ExperimentalParams", "p_do1 p_do0")):
@@ -141,10 +158,9 @@ def observables_from_joint(
 
     The experiment identifies the marginal do-risks; the natural-choice data
     identify P(A*=1) and the within-stratum risk of the arm actually taken,
-    each a sum of the atoms' integer weights over the lcm of their denominators.
+    each a sum of the joint's integer weights over its total.
     """
-    scale = lcm(*(p.denominator for p in joint.atoms))
-    w = [p.numerator * (scale // p.denominator) for p in joint.atoms]  # at 4·y0 + 2·y1 + astar
+    w, scale = joint.weights, joint.total  # w at 4·y0 + 2·y1 + astar
     treated = sum(w[1::2])  # A*=1
     p0 = ExperimentalParams(Fraction(sum(w[2:4] + w[6:]), scale), Fraction(sum(w[4:]), scale))
     q1 = Fraction(w[3] + w[7], treated) if treated else None  # P(Y^1=1 | A*=1)
@@ -192,8 +208,7 @@ def sample_joint(seed: int) -> JointDistribution:
         weights = [rng.randint(0, _SAMPLE_GRID) for _ in range(8)]
         if any(weights):
             break
-    total = sum(weights)
-    return JointDistribution(tuple(Fraction(w, total) for w in weights))
+    return JointDistribution.from_weights(weights)
 
 
 def demo_joint() -> JointDistribution:
@@ -218,13 +233,11 @@ def degenerate_grid(n: int = 2) -> list[JointDistribution]:
     Each choice of 7 bar positions among n + 7 slots splits n units into 8
     atoms (stars and bars), in the deterministic order of
     `itertools.combinations`.  Zero atoms give empty strata and risks of 0
-    or 1; n = 8 reaches every sign pattern of the identified risks.
+    or 1.  n = 8, 10 and 12 each reach the same 207 sign patterns of the
+    identified risks; odd n misses two of them, which need P(A*=1) = 1/2.
+    Nothing yet proves that no other pattern is realizable.
     """
     if n < 1:
         raise ValueError(f"the grid needs n of at least 1, got {n!r}")
-    grid = []
-    for bars in itertools.combinations(range(n + 7), 7):
-        ends = (-1, *bars, n + 7)
-        atoms = tuple(Fraction(b - a - 1, n) for a, b in zip(ends, ends[1:]))
-        grid.append(JointDistribution(atoms))
-    return grid
+    ends = ((-1, *bars, n + 7) for bars in itertools.combinations(range(n + 7), 7))
+    return [JointDistribution.from_weights([b - a - 1 for a, b in zip(e, e[1:])]) for e in ends]

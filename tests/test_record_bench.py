@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,6 +65,7 @@ def test_pair_with_pairs_every_workload(record_bench, tmp_path, monkeypatch):
 
     monkeypatch.setattr(record_bench, "bench", bench)
     monkeypatch.setattr(record_bench, "tier1", lambda checkout: {"summary": "1 passed in 0.01s"})
+    monkeypatch.setattr(record_bench, "command_s", lambda checkout, argv: 1.0)
     out = tmp_path / "BENCH.json"
     argv = ["--pr", "0", "--checkout", str(change), "--pair-with", str(base), "--pairs", "3", "--out", str(out)]
     assert record_bench.main(argv) == 0
@@ -125,6 +128,7 @@ def test_src_lines_are_recorded(record_bench, tmp_path, monkeypatch, paired):
     change = _stub_tree(tmp_path / "change", {"cli.py": "a\nb\nc\n", "__init__.py": "", "model.py": "x\ny"})
     base = _stub_tree(tmp_path / "base", {"cli.py": "a\n" * 5, "old.py": "z\n"})
     monkeypatch.setattr(record_bench, "tier1", lambda checkout: {"summary": "1 passed in 0.01s"})
+    monkeypatch.setattr(record_bench, "command_s", lambda checkout, argv: 1.0)
     out = tmp_path / "BENCH.json"
     argv = ["--pr", "0", "--checkout", str(change), "--out", str(out)]
     assert record_bench.main(argv + (["--pair-with", str(base)] if paired else [])) == 0
@@ -135,3 +139,72 @@ def test_src_lines_are_recorded(record_bench, tmp_path, monkeypatch, paired):
         assert record["pairs"]["src_lines"] == {"modules": {"cli.py": 5, "old.py": 1}, "total": 6}
     else:
         assert "pairs" not in record
+
+
+class _Clock:
+    """A `perf_counter` that only the fake `subprocess.run` below moves."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        return self.now
+
+
+@pytest.fixture
+def fake_cli(record_bench, monkeypatch):
+    """Replaces `subprocess.run` and the clock of `record_bench`: each CLI
+    call is logged as (tree name, argv, PYTHONPATH) and takes 1.0 s in the
+    change and 1.5 s in the base, plus 0.1 s per earlier call of the same
+    tree and command; a call with "--fail" exits 1."""
+    clock, calls = _Clock(), []
+
+    def run(command, cwd, env, stdout, stderr, text):
+        assert command[:3] == [sys.executable, "-m", "harmbounds.cli"] and stdout == subprocess.DEVNULL
+        tree, argv = Path(cwd).name, command[3:]
+        earlier = sum(call[:2] == (tree, argv) for call in calls)
+        calls.append((tree, argv, env["PYTHONPATH"].split(":")[0]))
+        clock.now += (1.0 if tree == "change" else 1.5) + 0.1 * earlier
+        return subprocess.CompletedProcess(command, 1 if "--fail" in argv else 0, None, "boom")
+
+    monkeypatch.setattr(record_bench.subprocess, "run", run)
+    monkeypatch.setattr(record_bench, "time", clock)
+    return calls
+
+
+def test_pair_with_times_the_commands_in_fresh_processes(record_bench, tmp_path, monkeypatch, fake_cli):
+    """With `--pair-with`, each of `COMMANDS` runs as a fresh `python -m
+    harmbounds.cli` in each tree, with that tree's src/ first on PYTHONPATH,
+    in the alternating order of the workload pairs; `pairs.commands` holds
+    both sides' `wall_s` median and quartiles and the pairs the change won."""
+    change = _stub_tree(tmp_path / "change", {"cli.py": ""})
+    base = _stub_tree(tmp_path / "base", {"cli.py": ""})
+    monkeypatch.setattr(record_bench, "tier1", lambda checkout: {"summary": "1 passed in 0.01s"})
+    out = tmp_path / "BENCH.json"
+    argv = ["--pr", "0", "--checkout", str(change), "--pair-with", str(base), "--pairs", "3", "--out", str(out)]
+    assert record_bench.main(argv) == 0
+
+    commands = json.loads(out.read_text())["pairs"]["commands"]
+    assert record_bench.COMMANDS == {
+        "verify_samples_10000": ["verify", "--samples", "10000", "--seed", "42"],
+        "example_json": ["example", "--format", "json"],
+    }
+    assert list(commands) == list(record_bench.COMMANDS)
+    order = ["change", "base", "base", "change", "change", "base"]
+    assert fake_cli == [
+        (tree, command, str(tmp_path / tree / "src")) for command in record_bench.COMMANDS.values() for tree in order
+    ]
+    for name, recorded in commands.items():
+        assert recorded["argv"] == record_bench.COMMANDS[name]
+        assert [run["first"] for run in recorded["runs"]] == ["change", "base", "change"]
+        assert [run["change"]["wall_s"] for run in recorded["runs"]] == pytest.approx([1.0, 1.1, 1.2])
+        wall_s = recorded["metrics"]["wall_s"]
+        assert wall_s["better"] == "lower" and wall_s["change_wins"] == 3
+        assert wall_s["change"]["median"] == pytest.approx(1.1)
+        assert wall_s["base"]["median"] == pytest.approx(1.6)
+        assert wall_s["base"]["quartiles"] == pytest.approx([1.5, 1.7])
+
+
+def test_a_failing_command_names_itself(record_bench, tmp_path, fake_cli):
+    with pytest.raises(SystemExit, match="harmbounds verify --fail failed in .*\n.*boom"):
+        record_bench.command_s(tmp_path, ["verify", "--fail"])

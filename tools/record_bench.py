@@ -19,7 +19,11 @@ alternately first, and adds them to the file under ``pairs.workloads``.
 For each end-to-end metric of the checkout's ``BENCHMARK.json`` it also
 records both sides' median and quartiles and ``change_wins``: the pairs in
 which the checkout did better, in the metric's ``better`` direction (a tie
-counts for neither side).  DIR's ``src_lines`` go under ``pairs`` too.
+counts for neither side).  DIR's ``src_lines`` go under ``pairs`` too.  The
+same K alternating pairs time each of ``COMMANDS``, the end-to-end figures
+that no workload measures, as a fresh ``python -m harmbounds.cli`` process
+in each tree; their ``wall_s`` medians, quartiles and wins go under
+``pairs.commands``.
 
 Only the standard library is used; nothing under ``bench/`` is changed.
 """
@@ -39,6 +43,10 @@ from pathlib import Path
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 ENVIRONMENT = ("PYTHONUNBUFFERED", "PYTHONDONTWRITEBYTECODE")  # both move the end-to-end figures
+COMMANDS = {  # criterion 4 and the demo report, by the name they are recorded under
+    "verify_samples_10000": ["verify", "--samples", "10000", "--seed", "42"],
+    "example_json": ["example", "--format", "json"],
+}
 
 
 def _env(checkout: Path) -> dict:
@@ -93,20 +101,39 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) 
     return json.loads(run.stdout.strip().splitlines()[-1])
 
 
-def pairs(change: Path, base: Path, workload: str, seed: int, seconds: float, count: int) -> list[dict]:
-    """`count` pairs of end-to-end runs, the change first in even pairs and the base first in odd ones."""
+def command_s(checkout: Path, argv: list[str]) -> float:
+    """The wall time of one fresh `python -m harmbounds.cli ARGV` in the checkout; stdout is discarded."""
+    command = [sys.executable, "-m", "harmbounds.cli", *argv]
+    began = time.perf_counter()
+    run = subprocess.run(command, cwd=checkout, env=_env(checkout), stdout=subprocess.DEVNULL,
+                         stderr=subprocess.PIPE, text=True)
+    wall_s = time.perf_counter() - began
+    if run.returncode != 0:
+        raise SystemExit(f"harmbounds {' '.join(argv)} failed in {checkout}:\n{run.stderr[-2000:]}")
+    return wall_s
+
+
+def alternate(change: Path, base: Path, count: int, measure) -> list[dict]:
+    """`count` pairs of `measure(tree)`, the change first in even pairs and the base first in odd ones."""
     runs = []
     for i in range(count):
-        order = [("change", change), ("base", base)]
-        run = {"first": order[i % 2][0]}
-        for name, tree in order if i % 2 == 0 else order[::-1]:
-            result = bench(tree, workload, seed, seconds, 0)
-            run[name] = {metric: m["value"] for metric, m in result["metrics"].items()}
-            run[name]["failed"] = result["failed"]
-        ratio = run["change"]["items_per_s"] / run["base"]["items_per_s"] - 1
-        print(f"pair {i + 1}/{count}, {run['first']} first: items_per_s {ratio:+.1%}", flush=True)
+        order = [("change", change), ("base", base)][:: -1 if i % 2 else 1]
+        run = {"first": order[0][0]}
+        for name, tree in order:
+            run[name] = measure(tree)
+        print(f"pair {i + 1}/{count}, {run['first']} first", flush=True)
         runs.append(run)
     return runs
+
+
+def pairs(change: Path, base: Path, workload: str, seed: int, seconds: float, count: int) -> list[dict]:
+    """`count` alternating pairs of end-to-end runs of the workload."""
+
+    def measure(tree: Path) -> dict:
+        result = bench(tree, workload, seed, seconds, 0)
+        return {**{metric: m["value"] for metric, m in result["metrics"].items()}, "failed": result["failed"]}
+
+    return alternate(change, base, count, measure)
 
 
 def acceptance(runs: list[dict], end_to_end: list[dict]) -> dict:
@@ -180,6 +207,15 @@ def main(argv=None) -> int:
             }
             wins = ", ".join(f"{name} {f['change_wins']}/{len(runs)}" for name, f in figures.items())
             print(f"{workload}: median items_per_s change {median:+.1%}; change wins {wins}", flush=True)
+        record["pairs"]["commands"] = {}
+        for name, command in COMMANDS.items():
+            print(f"{name} pairs ...", flush=True)
+            runs = alternate(checkout, base, args.pairs, lambda tree: {"wall_s": command_s(tree, command)})
+            figures = acceptance(runs, [{"name": "wall_s", "better": "lower"}])
+            record["pairs"]["commands"][name] = {"argv": command, "metrics": figures, "runs": runs}
+            wall_s = figures["wall_s"]
+            print(f"{name}: median wall_s {wall_s['base']['median']:.3f} -> {wall_s['change']['median']:.3f} s; "
+                  f"change wins {wall_s['change_wins']}/{len(runs)}", flush=True)
     out = args.out or checkout / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
