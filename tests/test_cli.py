@@ -61,6 +61,7 @@ import report_reference
 F = Fraction
 GOLDEN = Path(__file__).parent / "data" / "golden"
 CORPUS = GOLDEN / "corpus_study.json"
+EXAMPLE_STUDY = str(Path(harmbounds.__file__).parent / "data" / "example_study.json")
 CSV_HEADER = (
     "labels,exp_t_events,exp_t_total,exp_c_events,exp_c_total,"
     "obs_t_events,obs_t_total,obs_c_events,obs_c_total\n"
@@ -625,6 +626,43 @@ class TestMain:
         path = tmp_path / "bad.json"
         path.write_text("{")
         assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv,status,err,out_start",
+        [
+            ([], EXIT_USAGE, "the following arguments are required: command", ""),
+            (
+                ["frobnicate"], EXIT_USAGE,
+                "argument command: invalid choice: 'frobnicate' (choose from 'analyze', 'example', 'verify')", "",
+            ),
+            (["analyze"], EXIT_USAGE, "the following arguments are required: --input", ""),
+            (["analyze", "--input"], EXIT_USAGE, "argument --input: expected one argument", ""),
+            (["verify", "--samples", "x"], EXIT_USAGE, "argument --samples: invalid int value: 'x'", ""),
+            (
+                ["example", "--format", "xml"], EXIT_USAGE,
+                "argument --format: invalid choice: 'xml' (choose from 'text', 'json')", "",
+            ),
+            (["example", "extra"], EXIT_USAGE, "unrecognized arguments: extra", ""),
+            (["verify", "--s", "3"], EXIT_USAGE, "ambiguous option: --s could match --samples, --seed", ""),
+            (["analyze", "--input=" + EXAMPLE_STUDY], EXIT_OK, None, "Stratum sex=men\n"),
+            (["analyze", "--input", EXAMPLE_STUDY, "--form", "json"], EXIT_OK, None, '{\n  "strata": ['),
+            (["verify", "--samples", "1", "--seed", "-5"], EXIT_OK, None, "proposition P1: "),
+            (["example", "--format", "text", "--format", "json"], EXIT_OK, None, '{\n  "strata": ['),
+        ],
+        ids=[
+            "no-command", "unknown-command", "missing-input", "input-without-value", "samples-not-int",
+            "format-not-a-choice", "extra-positional", "ambiguous-prefix", "input-equals", "format-prefix",
+            "negative-seed", "repeated-format",
+        ],
+    )
+    def test_command_line_contract(self, argv, status, err, out_start, capsys, monkeypatch):
+        """Each malformed command line ends in exit 1 and one `error:` line;
+        each accepted spelling runs its command."""
+        monkeypatch.setenv("HARMBOUNDS_COLOR", "never")
+        assert main(argv) == status
+        captured = capsys.readouterr()
+        assert captured.err == ("" if err is None else f"error: {err}\n")
+        assert captured.out.startswith(out_start)
 
     def test_unreadable_file_is_one_error_line(self, capsys, tmp_path, monkeypatch):
         """A read that fails (as on /proc/self/mem) ends in one error line, not a traceback."""
