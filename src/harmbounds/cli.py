@@ -1,9 +1,15 @@
-"""Command-line front end.
+"""harmbounds: sharp bounds on the probability of counterfactual harm and benefit.
+
+usage: harmbounds <subcommand> [options]
 
 Subcommands:
   analyze --input <path> [--format json|text]   analyze a study file
   example [--format json|text]                  analyze the bundled demo study
-  verify --samples <n> --seed <s>               run the proposition harness
+  verify --samples <n> [--seed <s>]             run the proposition harness
+
+Every subcommand takes -h or --help.  An option's value follows it as the
+next argument or after `=` (`--input=study.json`); an option may be cut to
+any unique prefix (`--form json`), and a repeated option keeps its last value.
 
 Input counts become exact rational proportions; every number in a report
 carries its rational form, and decimals are exact renderings whenever the
@@ -12,7 +18,6 @@ rational terminates (otherwise marked approximate).
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
@@ -699,36 +704,121 @@ def _counterexample_json(report: propositions.PropositionReport) -> dict:
     }
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # noqa: A003 - argparse API
-        raise ParseError(message)
+# Each command's options, in the order an ambiguous prefix lists them, with a converter
+# (a tuple lists the accepted values) and a default; a required option's default is None.
+_FORMATS = ("text", "json")
+_COMMANDS = {
+    "analyze": {"--input": (str, None), "--format": (_FORMATS, "text")},
+    "example": {"--format": (_FORMATS, "text")},
+    "verify": {"--samples": (int, None), "--seed": (int, 0)},
+}
+_HELP = ("-h", "--help")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="harmbounds", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _read_option(token: str, names: tuple[str, ...]) -> tuple[str | None, str | None] | None:
+    """How argparse reads `token` against the options `names`: None for a
+    value, else the option (None when unknown) and the value written in the
+    token itself, after `=` or after `-h` (None when there is none)."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token == "--":  # ends the options, and is no value either
+        return None, token
+    head, eq, value = token.partition("=")
+    if token in names:
+        return token, None
+    if eq and head in names:
+        return head, value
+    if token[1] == "-":
+        matches = [name for name in names if name.startswith(head)]
+        if len(matches) > 1:
+            raise ParseError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif token[1] == "h":
+        return "-h", token[2:]
+    if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token:  # a negative number, or text with a space
+        return None
+    return None, token
 
-    p_analyze = sub.add_parser("analyze", help="analyze a study file")
-    p_analyze.add_argument("--input", required=True, help="path to a JSON or CSV study file")
-    p_analyze.add_argument("--format", choices=("text", "json"), default="text")
 
-    p_example = sub.add_parser("example", help="analyze the bundled demo study")
-    p_example.add_argument("--format", choices=("text", "json"), default="text")
+def _help_asked(option: str | None, value: str | None) -> bool:
+    """Whether a read option asks for help, which takes no value but more
+    `h`s bundled after `-h`."""
+    if option in _HELP and value is not None:
+        rest = value.lstrip("h") if option == "-h" else value
+        if rest or not value:
+            raise ParseError(f"argument -h/--help: ignored explicit argument {rest!r}")
+    return option in _HELP
 
-    p_verify = sub.add_parser("verify", help="run the proposition harness")
-    p_verify.add_argument("--samples", type=int, required=True)
-    p_verify.add_argument("--seed", type=int, default=0)
-    return parser
+
+def _parse_args(argv: list[str]) -> tuple[str | None, dict | None]:
+    """The command and its options, by name, read as argparse reads them:
+    `--opt value` or `--opt=value`, any unique prefix of an option, and the
+    last value of a repeated one; (None, None) when help is asked for.  A
+    malformed command line raises ParseError with argparse's message."""
+    extras = []
+    for i, token in enumerate(argv):
+        read = _read_option(token, _HELP)
+        if read is None or token == "--" and i + 1 < len(argv):
+            break
+        if _help_asked(*read):
+            return None, None
+        extras.append(token)
+    else:
+        raise ParseError("the following arguments are required: command")
+    command, rest = argv[i], argv[i + 1 :]
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise ParseError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    table = _COMMANDS[command]
+    # Every token is read before any value is converted, so an ambiguous prefix
+    # is the first fault; after the first `--`, every token is a value.
+    end = rest.index("--") + 1 if "--" in rest else len(rest)
+    reads = [_read_option(token, _HELP + tuple(table)) for token in rest[:end]] + [None] * (len(rest) - end)
+    options = {name: default for name, (_, default) in table.items()}
+    i = 0
+    while i < len(rest):
+        read, i = reads[i], i + 1
+        if read is None or read[0] is None:
+            extras.append(rest[i - 1])
+            continue
+        if _help_asked(*read):
+            return None, None
+        name, value = read
+        if value is None:
+            if i == len(rest) or reads[i] is not None:
+                raise ParseError(f"argument {name}: expected one argument")
+            value, i = rest[i], i + 1
+        convert = table[name][0]
+        if type(convert) is tuple:
+            if value not in convert:
+                choices = ", ".join(map(repr, convert))
+                raise ParseError(f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+        else:
+            try:
+                value = convert(value)
+            except ValueError:
+                raise ParseError(f"argument {name}: invalid {convert.__name__} value: {value!r}") from None
+        options[name] = value
+    missing = [name for name, value in options.items() if value is None]
+    if missing:
+        raise ParseError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise ParseError(f"unrecognized arguments: {' '.join(extras)}")
+    return command, options
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "verify":
-            if args.samples < 1:
+        command, options = _parse_args(sys.argv[1:] if argv is None else argv)
+        if options is None:
+            sys.stdout.write(__doc__ or "")  # `python -OO` strips docstrings
+            sys.stdout.flush()
+            return EXIT_OK
+        if command == "verify":
+            if options["--samples"] < 1:
                 raise ParseError("--samples must be at least 1")
-            status, reports = command_verify(args.samples, args.seed)
+            status, reports = command_verify(options["--samples"], options["--seed"])
             for rep in reports:
                 outcome = "ok" if not rep.counterexamples else f"{len(rep.counterexamples)} counterexample(s)"
                 print(
@@ -741,9 +831,9 @@ def main(argv: list[str] | None = None) -> int:
                 )
             sys.stdout.flush()
             return status
-        study = parse_input(args.input) if args.command == "analyze" else _demo_study()
+        study = parse_input(options["--input"]) if command == "analyze" else _demo_study()
         report = analyze(study)
-        _emit_report(report, args.format, sys.stdout)
+        _emit_report(report, options["--format"], sys.stdout)
         return EXIT_ALL_INCOMPATIBLE if all(sr.incompatible for sr in report) else EXIT_OK
     except (HarmboundsError, ValueError) as exc:
         # A message may quote the input path as given: escaped, it stays one line with no ESC.

@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import re
+import sys
 from datetime import timedelta
 from fractions import Fraction
 
@@ -23,16 +24,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harmbounds import ParseError
 from harmbounds.cli import (
     _CSV_HEADER,
     EXIT_ALL_INCOMPATIBLE,
     EXIT_OK,
     EXIT_USAGE,
+    _parse_args,
     analyze,
     main,
     parse_input,
 )
 
+import argparse_reference
 from report_reference import report_to_json
 
 FUZZ = settings(max_examples=300, deadline=timedelta(seconds=2))
@@ -273,3 +277,35 @@ def test_text_report_heads_each_stratum_on_one_line(workdir, study):
     assert lines == out.split("\n")[:-1]
     assert sum(line.startswith("Stratum ") for line in lines) == len(study["strata"])
     assert not any(c in out for c in "\x1b\x7f")
+
+
+# Command lines built from the options' names, their prefixes, values of each
+# kind and argparse's special tokens, plus arbitrary text.
+argv_tokens = st.one_of(
+    st.sampled_from([
+        "analyze", "example", "verify", "--input", "--format", "--samples", "--seed", "--in", "--form", "--s",
+        "--se", "--sa", "--f", "--", "-", "-h", "--help", "--he", "-hh", "-hx", "-h=", "--help=", "-x", "--=x",
+        "json", "text", "xml", "3", "-5", "-5.5", " 4 ", "1_0", "\u0663", "", "- a", "-1_0", "study.json",
+    ]),
+    st.builds("{}={}".format, st.sampled_from(["--input", "--in", "--format", "--fo", "--samples", "--seed", "-h"]),
+              st.sampled_from(["", "json", "-2", "x", "h", "="])),
+    st.text(alphabet="-=hsx1 ", max_size=5),
+)
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the reference messages are Python 3.11's argparse")
+@FUZZ
+@given(argv=st.lists(argv_tokens, max_size=7), command=st.sampled_from([[], ["analyze"], ["example"], ["verify"]]))
+def test_command_line_is_read_as_argparse_reads_it(argv, command):
+    """The CLI's reader gives every command line argparse's command, values
+    and error message, and asks for help where argparse printed it."""
+    argv = command + argv
+    try:
+        expected = argparse_reference.parse_args(argv)
+    except ParseError as exc:
+        expected = str(exc)
+    try:
+        got = _parse_args(argv)
+    except ParseError as exc:
+        got = str(exc)
+    assert got == expected
