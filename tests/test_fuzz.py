@@ -30,11 +30,11 @@ from harmbounds.cli import (
     EXIT_ALL_INCOMPATIBLE,
     EXIT_OK,
     EXIT_USAGE,
-    _parse_args,
     analyze,
     main,
     parse_input,
 )
+from harmbounds.cmdline import parse_args
 
 import argparse_reference
 from report_reference import report_to_json
@@ -305,7 +305,7 @@ def test_command_line_is_read_as_argparse_reads_it(argv, command):
     except ParseError as exc:
         expected = str(exc)
     try:
-        got = _parse_args(argv)
+        got = parse_args(argv)
     except ParseError as exc:
         got = str(exc)
     assert got == expected
