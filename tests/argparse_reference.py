@@ -1,10 +1,11 @@
-"""The command line as argparse reads it: the tests' reference for the CLI's reader.
+"""The command line as argparse reads it: the tests' reference for `harmbounds.cmdline`.
 
-`harmbounds.cli` read its command line with this parser before it had a
-reader of its own.  The reader must give each command line the same
-command, the same option values and the same error message; argparse ends
-help with `SystemExit(0)`, which this reference returns as None options.
-Messages are Python 3.11's; later versions reword some.
+`harmbounds.cli` read its command line with this parser before
+`cmdline.parse_args` replaced it.  That reader must give each command line
+the same command, the same option values and the same error message;
+argparse ends help with `SystemExit(0)`, which this reference returns as
+(None, None), as the reader does.  Messages are Python 3.11's; later
+versions reword some.
 """
 
 from __future__ import annotations
