@@ -18,435 +18,24 @@ rational terminates (otherwise marked approximate).
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import re
 import sys
-from collections import Counter, namedtuple
+from collections import namedtuple
 from decimal import Context
 from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import propositions
-from .cmdline import parse_args
 from .errors import HarmboundsError, ParseError, ValidationError
-from .model import ATOM_KEYS, ExperimentalParams, ObservationalParams, as_prob
+from .model import ATOM_KEYS
+from .reader import _CONTROL_ESCAPES, StudyInput, parse_input
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_ALL_INCOMPATIBLE = 2
 EXIT_COUNTEREXAMPLE = 3
-
-# Longest accepted rational parameter; longer text is refused before any arithmetic.
-MAX_RATIONAL_CHARS = 100
-_COUNT_LIMIT = 10**MAX_RATIONAL_CHARS  # the smallest count with too many digits
-# Largest accepted study, about 200,000 strata of JSON; a longer one is an error.
-MAX_INPUT_BYTES = 64 * 1024 * 1024
-_READ_CHUNK = 64 * 1024
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+|/[0-9]+)?")
-# Rounds inexact decimals; its flags are set by every division and never read.
-_SIX_DIGITS = Context(prec=6)
-
-_CSV_HEADER = [
-    "labels",
-    "exp_t_events",
-    "exp_t_total",
-    "exp_c_events",
-    "exp_c_total",
-    "obs_t_events",
-    "obs_t_total",
-    "obs_c_events",
-    "obs_c_total",
-]
-# The only keys a JSON stratum, its `parameters` block, an arm block and an arm may hold.
-_STRATUM_KEYS = ("labels", "experimental", "observational", "parameters")
-_PARAMETER_KEYS = ("p_do1", "p_do0", "pi1", "q1", "q0")
-_ARMS = ("treated", "untreated")
-_COUNT_KEYS = ("events", "total")
-
-
-# ---------------------------------------------------------------------------
-# rational rendering
-
-def parse_rational(text: str) -> Fraction:
-    """Accepts 'p/q' and 'd[.d]' strings with an optional sign, no exponent,
-    at most MAX_RATIONAL_CHARS long; both parse to exact rationals."""
-    if len(text) > MAX_RATIONAL_CHARS or not _RATIONAL.fullmatch(text):
-        raise ParseError(f"not a rational number: {text[:MAX_RATIONAL_CHARS]!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError as exc:
-        raise ParseError(f"not a rational number: {text!r}") from exc
-
-
-def _rational_fields(x: Fraction) -> tuple[str, str, str]:
-    """A rational's three JSON fields, from its integer numerator and
-    denominator: its text, its decimal and whether that decimal is exact
-    (`true` or `false`).
-
-    A value renders exactly when its decimal ends within 12 places, that
-    is when its denominator divides 10^12; everything else is rounded to 6
-    significant digits.
-    """
-    numerator, denominator = x.numerator, x.denominator
-    if denominator == 1:
-        text = str(numerator)
-        return text, text, "true"
-    text = "%d/%d" % (numerator, denominator)
-    if 10**12 % denominator:
-        return text, str(_SIX_DIGITS.divide(numerator, denominator)), "false"
-    whole, frac = divmod(abs(numerator) * (10**12 // denominator), 10**12)
-    sign = "-" if numerator < 0 else ""
-    return text, sign + str(whole) + "." + ("%012d" % frac).rstrip("0"), "true"
-
-
-def decimal_str(x: Fraction) -> tuple[str, bool]:
-    """The decimal of `_rational_fields` and whether it is exact."""
-    _, decimal, exact = _rational_fields(x)
-    return decimal, exact == "true"
-
-
-# ---------------------------------------------------------------------------
-# input model
-
-# The C0 and C1 controls, the line breaks U+2028 and U+2029 and the
-# bidirectional controls, written out wherever outside text is printed.
-_CONTROL_ESCAPES = str.maketrans(
-    {c: f"\\x{c:02x}" for c in [*range(0x20), *range(0x7F, 0xA0)]}
-    | {c: f"\\u{c:04x}" for c in [0x2028, 0x2029, *range(0x202A, 0x202F), *range(0x2066, 0x206A)]}
-)
-_NAME_ESCAPES = str.maketrans({"\\": "\\\\", ";": "\\;", "=": "\\="}) | _CONTROL_ESCAPES
-
-
-class StratumInput(namedtuple("StratumInput", "labels evidence")):
-    """A stratum's (key, value) labels and its `EvidenceSet`."""
-
-    __slots__ = ()
-
-    @property
-    def name(self) -> str:
-        """The labels as `key=value` pairs joined by `;`, with each `\\`, `;`
-        and `=` inside a key or value escaped by a backslash, so that two
-        label sets never share a name.  The control characters U+0000-U+001F
-        and U+007F-U+009F, the line breaks U+2028 and U+2029, the
-        bidirectional controls U+202A-U+202E and U+2066-U+2069, and the lone
-        surrogates U+D800-U+DFFF are written as `\\xNN` or `\\uNNNN`, so a name
-        never spans two lines, holds an ESC or CSI, reorders the rest of its
-        line, or cannot be written as UTF-8."""
-        name = ";".join(
-            f"{k.translate(_NAME_ESCAPES)}={v.translate(_NAME_ESCAPES)}" for k, v in self.labels
-        ) or "(unlabeled)"
-        return name.encode("utf-8", "backslashreplace").decode()  # only surrogates fail to encode
-
-
-class StudyInput(namedtuple("StudyInput", "strata")):
-    """The strata of a study; two strata may not carry the same set of labels."""
-
-    __slots__ = ()
-
-    def __new__(cls, strata: tuple[StratumInput, ...]) -> "StudyInput":
-        if not strata:
-            raise ValidationError("study contains no strata")
-        seen = set()
-        for stratum in strata:
-            labels = frozenset(stratum.labels)
-            if labels in seen:
-                raise ValidationError(f"duplicate stratum label {stratum.name!r}")
-            seen.add(labels)
-        return super().__new__(cls, strata)
-
-
-def _object(block: dict, where: str, known: tuple | None = None, what: str = "key", repeats_at: str = "") -> None:
-    """Refuses a repeated key, named at `repeats_at` if given, and then the
-    first key, in written order, outside `known` (any key when None)."""
-    if type(block) is _Repeats:
-        raise ParseError(f"{repeats_at or where}: key {block.repeated!r} is repeated")
-    for key in block if known else ():
-        if key not in known:
-            raise ParseError(f"{where}: unknown {what} {key!r}")
-
-
-def _counts(arms, name: str, where: str) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The treated and untreated (events, total) of the `name` block, from
-    its arms' (arm, events, total) in reading order; each arm is checked as
-    it comes.  Both formats' counts pass here, so both keep one set of rules."""
-    counts = {}
-    for arm, events, total in arms:
-        if total < 0:
-            raise ValidationError(f"{where}, {name}.{arm}: total must not be negative, got {total}")
-        if events < 0 or events > total:
-            raise ValidationError(f"{where}, {name}.{arm}: events {events} outside [0, {total}]")
-        if total == 0 and name == "experimental":  # an experimental risk needs patients
-            raise ValidationError(f"{where}, {name}.{arm}: total must be positive, got 0")
-        counts[arm] = events, total
-    treated, untreated = counts["treated"], counts["untreated"]
-    if treated[1] + untreated[1] == 0:  # only a natural-choice block gets here with no patients
-        raise ValidationError(f"{where}, {name}: both arms have total 0")
-    return treated, untreated
-
-
-def _evidence(experimental: tuple, observational: tuple | None) -> bounds_mod.EvidenceSet:
-    """The evidence of a stratum's checked counts, each block a (treated, untreated) pair."""
-    p1 = None
-    if observational is not None:
-        # A natural-choice arm may be empty: its A* stratum then has mass 0
-        # and its observed risk is undefined.
-        (events1, total1), (events0, total0) = observational
-        p1 = ObservationalParams(
-            Fraction(total1, total1 + total0),
-            Fraction(events1, total1) if total1 else None,
-            Fraction(events0, total0) if total0 else None,
-        )
-    return bounds_mod.EvidenceSet(ExperimentalParams(Fraction(*experimental[0]), Fraction(*experimental[1])), p1)
-
-
-def _probability(value: object, key: str, where: str) -> Fraction:
-    if isinstance(value, (bool, dict, list)):  # `str` would quote Python's spelling of it
-        kind = {bool: "a boolean", list: "an array"}.get(type(value), "an object")
-        raise ParseError(f"{where}, parameter {key!r}: expected a number or a string, got {kind}")
-    try:
-        return as_prob(parse_rational(str(value)))
-    except ParseError as exc:
-        raise ParseError(f"{where}, parameter {key!r}: {exc}") from exc
-    except ValueError as exc:
-        raise ValidationError(f"{where}, parameter {key!r}: {exc}") from exc
-
-
-def _evidence_from_parameters(params: object, where: str) -> bounds_mod.EvidenceSet:
-    """The evidence of a `parameters` block, in which a `null` parameter is absent."""
-    if not isinstance(params, dict):
-        raise ParseError(f"{where}: parameters must be an object")
-    _object(params, where, _PARAMETER_KEYS, "parameter", f"{where}, parameters")
-    for key in ("p_do1", "p_do0"):
-        if params.get(key) is None:
-            raise ParseError(f"{where}: missing parameter {key!r}")
-    for key in ("q1", "q0"):
-        if params.get("pi1") is None and params.get(key) is not None:
-            raise ParseError(f"{where}: parameter {key!r} needs 'pi1'")
-    probs = {key: _probability(value, key, where) for key, value in params.items() if value is not None}
-    p1 = None
-    if "pi1" in probs:
-        try:
-            p1 = ObservationalParams(probs["pi1"], probs.get("q1"), probs.get("q0"))
-        except ValueError as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
-    return bounds_mod.EvidenceSet(ExperimentalParams(probs["p_do1"], probs["p_do0"]), p1)
-
-
-def _labels_from_mapping(raw: object, where: str) -> tuple[tuple[str, str], ...]:
-    if not isinstance(raw, dict):
-        raise ParseError(f"{where}: labels must be a string-to-string mapping")
-    _object(raw, f"{where}, labels")
-    for key, value in raw.items():
-        if not key:
-            raise ParseError(f"{where}: a label key is empty")
-        if not isinstance(value, str):
-            raise ParseError(f"{where}: labels must be a string-to-string mapping; label {key!r} is not a string")
-    return tuple(raw.items())
-
-
-def _read_text(path: str) -> str:
-    """The text of a UTF-8 file or pipe without its byte order mark, if it
-    has one; other bytes, a missing path, a failed read, or more than
-    MAX_INPUT_BYTES bytes, end in a ParseError."""
-    try:
-        with open(path, "rb") as fh:
-            # One read at a time: a pipe's bytes are taken as they come, and no
-            # buffer the size of the limit is allocated for a small study.
-            data = bytearray()
-            while chunk := fh.read1(min(_READ_CHUNK, MAX_INPUT_BYTES + 1 - len(data))):
-                data += chunk
-    except FileNotFoundError:
-        raise ParseError(f"no such file: {path}") from None
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read: {exc.strerror}") from None
-    if len(data) > MAX_INPUT_BYTES:
-        raise ParseError(f"{path}: input is larger than {MAX_INPUT_BYTES} bytes")
-    try:
-        return data.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}, byte offset {exc.start}: not valid utf-8 ({exc.reason})") from None
-
-
-class _JsonNumber(float):
-    """A JSON number with a fraction or an exponent.  Its str is its source
-    text, so that a parameter is read from its own digits; its repr is the
-    float's."""
-
-    __slots__ = ("text",)
-
-    def __new__(cls, text: str) -> "_JsonNumber":
-        number = super().__new__(cls, text)
-        number.text = text
-        return number
-
-    def __str__(self) -> str:
-        return self.text
-
-
-class _Repeats(dict):
-    """A JSON object that writes its key `repeated` more than once, kept with
-    each key's last value; the walk refuses it where it reaches it."""
-
-    __slots__ = ("repeated",)
-
-
-def _json_object(pairs: list[tuple[str, object]]) -> dict:
-    block = dict(pairs)
-    if len(block) < len(pairs):
-        # One count of every key; a dict lists each key where it first occurs.
-        counts = Counter(key for key, _ in pairs)
-        block = _Repeats(block)
-        block.repeated = next(key for key in block if counts[key] > 1)
-    return block
-
-
-def _json_arms(block: object, where: str):
-    """The (arm, events, total) of each arm of the JSON arm block at `where`, in the
-    order written, after the block's own faults; bools and floats are not counts."""
-    arms = block if isinstance(block, dict) else {}
-    _object(arms, where, _ARMS, "arm")
-    for arm in _ARMS:
-        if arm not in arms:
-            raise ParseError(f"{where}.{arm}: expected an object with events/total counts")
-    for arm, cell in arms.items():
-        at = f"{where}.{arm}"
-        if not isinstance(cell, dict):
-            raise ParseError(f"{at}: expected an object with events/total counts")
-        _object(cell, at, _COUNT_KEYS)
-        events, total = cell.get("events"), cell.get("total")
-        if type(events) is not int or type(total) is not int:
-            raise ParseError(f"{at}: events and total must be integers, got {events!r} and {total!r}")
-        if max(abs(events), abs(total)) >= _COUNT_LIMIT:
-            raise ParseError(f"{at}: counts may have at most {MAX_RATIONAL_CHARS} digits")
-        yield arm, events, total
-
-
-def _parse_json_input(path: str) -> tuple[StratumInput, ...]:
-    """The strata of a JSON study, read from the top: an object's own faults
-    (not an object, a repeated or unknown key, a missing or conflicting
-    member) come before its members, and its members in the order written."""
-    text = _read_text(path)
-    try:
-        data = json.loads(text, object_pairs_hook=_json_object, parse_float=_JsonNumber)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except RecursionError:
-        raise ParseError(f"{path}: JSON nested too deeply") from None
-    except ValueError:  # int() refuses numbers over sys.get_int_max_str_digits() digits
-        raise ParseError(
-            f"{path}: a number is too long; counts may have at most {MAX_RATIONAL_CHARS} digits"
-        ) from None
-    if isinstance(data, dict):
-        _object(data, path, ("strata",))
-    if not isinstance(data, dict) or not isinstance(data.get("strata"), list):
-        raise ParseError(f"{path}: expected a top-level object with a 'strata' list")
-    strata = []
-    for i, raw in enumerate(data["strata"]):
-        where = f"{path}, stratum {i}"
-        if not isinstance(raw, dict):
-            raise ParseError(f"{where}: expected an object")
-        _object(raw, where, _STRATUM_KEYS)
-        if "parameters" in raw:
-            for key in ("experimental", "observational"):
-                if key in raw:
-                    raise ParseError(f"{where}: {key!r} cannot be combined with 'parameters'")
-        elif "experimental" not in raw:
-            raise ParseError(f"{where}: needs 'experimental' counts or 'parameters'")
-        labels, blocks = (), {"observational": None}
-        for key, value in raw.items():
-            if key == "labels":
-                labels = _labels_from_mapping(value, where)
-            elif key == "parameters":
-                evidence = _evidence_from_parameters(value, where)
-            elif value is not None or key == "experimental":  # a null natural-choice block is absent
-                blocks[key] = _counts(_json_arms(value, f"{where}, {key}"), key, where)
-        if "parameters" not in raw:
-            evidence = _evidence(**blocks)
-        strata.append(StratumInput(labels, evidence))
-    return tuple(strata)
-
-
-def _csv_count(row: list[str], column: int, where: str) -> int:
-    text = row[column].strip()
-    if not (text.isascii() and text.isdigit()):
-        raise ParseError(f"{where}, {_CSV_HEADER[column]}: expected a whole number, got {row[column]!r}")
-    if len(text) > MAX_RATIONAL_CHARS:
-        raise ParseError(f"{where}, {_CSV_HEADER[column]}: counts may have at most {MAX_RATIONAL_CHARS} digits")
-    return int(text)
-
-
-def _csv_arms(row: list[str], first: int, where: str):
-    """The (arm, events, total) of the two arms whose fields start at column `first`."""
-    for arm, column in (("treated", first), ("untreated", first + 2)):
-        yield arm, _csv_count(row, column, where), _csv_count(row, column + 1, where)
-
-
-def _csv_labels(cell: str, where: str) -> tuple[tuple[str, str], ...]:
-    """The `key=value` fragments of a labels cell, with the spaces around each
-    key and value stripped; blank fragments are skipped and an empty or
-    repeated key is refused."""
-    labels: dict[str, str] = {}
-    for part in cell.split(";"):
-        if not part.strip():
-            continue
-        if "=" not in part:
-            raise ParseError(f"{where}: label {part!r} is not of the form key=value")
-        key, value = (text.strip() for text in part.split("=", 1))
-        if not key:
-            raise ParseError(f"{where}: label {part!r} has an empty key")
-        if key in labels:
-            raise ParseError(f"{where}: label key {key!r} is repeated")
-        labels[key] = value
-    return tuple(labels.items())
-
-
-def _csv_rows(fh, path: str):
-    """The rows of a CSV file; a malformed one ends in ParseError."""
-    reader = csv.reader(fh)
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ParseError(f"{path}, line {reader.line_num}: {exc}") from None
-
-
-def _parse_csv_input(path: str) -> tuple[StratumInput, ...]:
-    strata = []
-    reader = _csv_rows(io.StringIO(_read_text(path), newline=""), path)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(f"{path}: empty file") from None
-    if header != _CSV_HEADER:
-        raise ParseError(f"{path}: bad header; expected {','.join(_CSV_HEADER)}")
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not field.strip() for field in row):
-            continue
-        where = f"{path}, line {lineno}"
-        if len(row) != len(_CSV_HEADER):
-            raise ParseError(f"{where}: expected {len(_CSV_HEADER)} fields")
-        labels = _csv_labels(row[0], where)  # then each arm left to right: its two fields, then its range
-        experimental = _counts(_csv_arms(row, 1, where), "experimental", where)
-        obs_fields = [field.strip() for field in row[5:9]]
-        observational = None
-        if any(obs_fields):
-            if not all(obs_fields):
-                raise ParseError(f"{where}: partial observational counts")
-            observational = _counts(_csv_arms(row, 5, where), "observational", where)
-        strata.append(StratumInput(labels, _evidence(experimental, observational)))
-    return tuple(strata)
-
-
-def parse_input(path: str) -> StudyInput:
-    """A CSV study when the path ends in .csv, a JSON one otherwise."""
-    parse = _parse_csv_input if path.lower().endswith(".csv") else _parse_json_input
-    strata = parse(path)
-    try:
-        return StudyInput(strata)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +68,31 @@ def analyze(study: StudyInput) -> tuple[StratumReport, ...]:
 # ---------------------------------------------------------------------------
 # rendering
 
+# Rounds inexact decimals; its flags are set by every division and never read.
+_SIX_DIGITS = Context(prec=6)
+
+
+def _rational_fields(x: Fraction) -> tuple[str, str, str]:
+    """A rational's three JSON fields, from its integer numerator and
+    denominator: its text, its decimal and whether that decimal is exact
+    (`true` or `false`).
+
+    A value renders exactly when its decimal ends within 12 places, that
+    is when its denominator divides 10^12; everything else is rounded to 6
+    significant digits.
+    """
+    numerator, denominator = x.numerator, x.denominator
+    if denominator == 1:
+        text = str(numerator)
+        return text, text, "true"
+    text = "%d/%d" % (numerator, denominator)
+    if 10**12 % denominator:
+        return text, str(_SIX_DIGITS.divide(numerator, denominator)), "false"
+    whole, frac = divmod(abs(numerator) * (10**12 // denominator), 10**12)
+    sign = "-" if numerator < 0 else ""
+    return text, sign + str(whole) + "." + ("%012d" % frac).rstrip("0"), "true"
+
+
 def _use_color(stream) -> bool:
     setting = os.environ.get("HARMBOUNDS_COLOR", "")
     if setting not in ("", "never"):  # unset or empty is auto; a mistyped value must not pass silently
@@ -487,8 +101,8 @@ def _use_color(stream) -> bool:
 
 
 def _fmt_value(x: Fraction) -> str:
-    decimal, exact = decimal_str(x)
-    return decimal if exact else "~" + decimal
+    _, decimal, exact = _rational_fields(x)
+    return decimal if exact == "true" else "~" + decimal
 
 
 def _fmt_interval(interval: bounds_mod.Interval | None, bold: bool) -> str:
@@ -564,6 +178,113 @@ def render_text(report: tuple[StratumReport, ...], color: bool = False) -> str:
             lines.append(_VERDICT_LINE % (verdict.school + ":", *parts))
         lines.append("")
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# command line, read as Python 3.11's argparse read it, without its 2 ms import
+
+# Each command's options, in the order an ambiguous prefix lists them, with a converter
+# (a tuple lists the accepted values) and a default; a required option's default is None.
+_FORMATS = ("text", "json")
+_COMMANDS = {
+    "analyze": {"--input": (str, None), "--format": (_FORMATS, "text")},
+    "example": {"--format": (_FORMATS, "text")},
+    "verify": {"--samples": (int, None), "--seed": (int, 0)},
+}
+_HELP = ("-h", "--help")
+
+
+def _read_option(token: str, names: tuple[str, ...]) -> tuple[str | None, str | None] | None:
+    """How argparse reads `token` against the options `names`: None for a
+    value, else the option (None when unknown) and the value written in the
+    token itself, after `=` or after `-h` (None when there is none)."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token == "--":  # ends the options, and is no value either
+        return None, token
+    head, eq, value = token.partition("=")
+    if token in names:
+        return token, None
+    if eq and head in names:
+        return head, value
+    if token[1] == "-":
+        matches = [name for name in names if name.startswith(head)]
+        if len(matches) > 1:
+            raise ParseError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif token[1] == "h":
+        return "-h", token[2:]
+    if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token:  # a negative number, or text with a space
+        return None
+    return None, token
+
+
+def _help_asked(option: str | None, value: str | None) -> bool:
+    """Whether a read option asks for help, which takes no value but more
+    `h`s bundled after `-h`."""
+    if option in _HELP and value is not None:
+        rest = value.lstrip("h") if option == "-h" else value
+        if rest or not value:
+            raise ParseError(f"argument -h/--help: ignored explicit argument {rest!r}")
+    return option in _HELP
+
+
+def parse_args(argv: list[str]) -> tuple[str | None, dict | None]:
+    """The command and its options, by name, read as argparse reads them:
+    `--opt value` or `--opt=value`, any unique prefix of an option, and the
+    last value of a repeated one; (None, None) when help is asked for.  A
+    malformed command line raises ParseError with argparse's message."""
+    extras = []
+    for i, token in enumerate(argv):
+        read = _read_option(token, _HELP)
+        if read is None or token == "--" and i + 1 < len(argv):
+            break
+        if _help_asked(*read):
+            return None, None
+        extras.append(token)
+    else:
+        raise ParseError("the following arguments are required: command")
+    command, rest = argv[i], argv[i + 1 :]
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise ParseError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    table = _COMMANDS[command]
+    # Every token is read before any value is converted, so an ambiguous prefix
+    # is the first fault; after the first `--`, every token is a value.
+    end = rest.index("--") + 1 if "--" in rest else len(rest)
+    reads = [_read_option(token, _HELP + tuple(table)) for token in rest[:end]] + [None] * (len(rest) - end)
+    options = {name: default for name, (_, default) in table.items()}
+    i = 0
+    while i < len(rest):
+        read, i = reads[i], i + 1
+        if read is None or read[0] is None:
+            extras.append(rest[i - 1])
+            continue
+        if _help_asked(*read):
+            return None, None
+        name, value = read
+        if value is None:
+            if i == len(rest) or reads[i] is not None:
+                raise ParseError(f"argument {name}: expected one argument")
+            value, i = rest[i], i + 1
+        convert = table[name][0]
+        if type(convert) is tuple:
+            if value not in convert:
+                choices = ", ".join(map(repr, convert))
+                raise ParseError(f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+        else:
+            try:
+                value = convert(value)
+            except ValueError:
+                raise ParseError(f"argument {name}: invalid {convert.__name__} value: {value!r}") from None
+        options[name] = value
+    missing = [name for name, value in options.items() if value is None]
+    if missing:
+        raise ParseError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise ParseError(f"unrecognized arguments: {' '.join(extras)}")
+    return command, options
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""The command line as argparse reads it: the tests' reference for `harmbounds.cmdline`.
+"""The command line as argparse reads it: the tests' reference for `harmbounds.cli.parse_args`.
 
-`harmbounds.cli` read its command line with this parser before
-`cmdline.parse_args` replaced it.  That reader must give each command line
+`harmbounds.cli` read its command line with this parser before its own
+`parse_args` replaced it.  That reader must give each command line
 the same command, the same option values and the same error message;
 argparse ends help with `SystemExit(0)`, which this reference returns as
 (None, None), as the reader does.  Messages are Python 3.11's; later

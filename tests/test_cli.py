@@ -38,22 +38,24 @@ from harmbounds.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_OK,
     EXIT_USAGE,
-    MAX_INPUT_BYTES,
-    MAX_RATIONAL_CHARS,
-    StratumInput,
-    StudyInput,
     _TEXT_ROWS,
     _StratumEncoder,
     _counterexample_json,
     _demo_study,
     _emit_report,
+    _rational_fields,
     analyze,
-    decimal_str,
     main,
-    parse_input,
-    parse_rational,
     render_text,
     report_to_json,
+)
+from harmbounds.reader import (
+    MAX_INPUT_BYTES,
+    MAX_RATIONAL_CHARS,
+    StratumInput,
+    StudyInput,
+    parse_input,
+    parse_rational,
 )
 
 import report_reference
@@ -168,7 +170,8 @@ class TestRationalRendering:
         ],
     )
     def test_decimal_str(self, value, expected, exact):
-        assert decimal_str(value) == (expected, exact)
+        """The decimal of a rational's JSON fields, and whether it is exact."""
+        assert _rational_fields(value)[1:] == (expected, "true" if exact else "false")
 
     @pytest.mark.parametrize("text", ["21/100", "-7/25", "0.51", "0", "1"])
     def test_rational_round_trip(self, text):
@@ -487,7 +490,7 @@ class TestJsonReport:
         assert len(apart.fusion.violations) == 2 and propositions.evidence_levels(apart)[1] is None
         p0_only, fused = propositions.evidence_levels(alone)
         assert fused is None and all(verdict.detected for verdict in p0_only.verdicts)
-        assert not decimal_str(alone.p0.p_do0)[1]
+        assert _rational_fields(alone.p0.p_do0)[2] == "false"
         (level, fused) = propositions.evidence_levels(whole)
         ends = [end for interval in level.bounds.values() for end in interval]
         ends += [verdict.value for verdict in level.verdicts if verdict.value is not None]
@@ -700,7 +703,7 @@ class TestMain:
             raise OSError(5, "Input/output error")
 
         path = write_json(tmp_path, DEMO_COUNTS)
-        monkeypatch.setattr("harmbounds.cli.open", failing_open, raising=False)
+        monkeypatch.setattr("harmbounds.reader.open", failing_open, raising=False)
         assert main(["analyze", "--input", path]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -869,10 +872,10 @@ class TestInputLimit:
     def test_file_at_the_limit_is_read_and_one_byte_longer_is_refused(self, capsys, tmp_path, monkeypatch):
         path = write_json(tmp_path, DEMO_COUNTS)
         size = os.path.getsize(path)
-        monkeypatch.setattr("harmbounds.cli.MAX_INPUT_BYTES", size)
+        monkeypatch.setattr("harmbounds.reader.MAX_INPUT_BYTES", size)
         assert main(["analyze", "--input", path]) == EXIT_OK
         capsys.readouterr()
-        monkeypatch.setattr("harmbounds.cli.MAX_INPUT_BYTES", size - 1)
+        monkeypatch.setattr("harmbounds.reader.MAX_INPUT_BYTES", size - 1)
         assert main(["analyze", "--input", path]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -893,7 +896,7 @@ class TestInputLimit:
     def test_pipe_over_the_limit_is_refused(self, ended, capsys, monkeypatch):
         """A pipe is refused once it has given one byte over the limit, before
         its writer has finished too: the read does not wait for its end."""
-        monkeypatch.setattr("harmbounds.cli.MAX_INPUT_BYTES", 100)
+        monkeypatch.setattr("harmbounds.reader.MAX_INPUT_BYTES", 100)
         read_end, write_end = os.pipe()
         path = f"/dev/fd/{read_end}"
         try:
@@ -911,7 +914,7 @@ class TestInputLimit:
 
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
     def test_endless_device_is_refused(self, capsys, monkeypatch):
-        monkeypatch.setattr("harmbounds.cli.MAX_INPUT_BYTES", 1000)
+        monkeypatch.setattr("harmbounds.reader.MAX_INPUT_BYTES", 1000)
         assert main(["analyze", "--input", "/dev/zero"]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1284,6 +1287,31 @@ class TestInputBoundary:
         assert capsys.readouterr().err == (
             f"error: {path}, stratum 0, experimental.treated: "
             "events and total must be integers, got 51.0 and 100.0\n"
+        )
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_json_constant_parameter_is_quoted_as_written(self, token, tmp_path, capsys):
+        """JSON has no NaN or Infinity, though Python's reader takes them; the
+        message used to quote Python's spelling, 'nan' or 'inf'."""
+        path = tmp_path / "study.json"
+        path.write_text(f'{{"strata": [{{"parameters": {{"p_do1": {token}, "p_do0": "1/2"}}}}]}}')
+        assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}, stratum 0, parameter 'p_do1': not a rational number: {token!r}\n"
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_json_constant_count_is_quoted_as_written(self, token, tmp_path, capsys):
+        path = tmp_path / "study.json"
+        path.write_text(
+            f'{{"strata": [{{"experimental": {{"treated": {{"events": {token}, "total": 10}}, '
+            '"untreated": {"events": 1, "total": 10}}}]}'
+        )
+        assert main(["analyze", "--input", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}, stratum 0, experimental.treated: events and total must be integers, got {token} and 10\n"
         )
 
     @pytest.mark.parametrize(

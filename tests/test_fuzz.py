@@ -26,15 +26,14 @@ from hypothesis import strategies as st
 
 from harmbounds import ParseError
 from harmbounds.cli import (
-    _CSV_HEADER,
     EXIT_ALL_INCOMPATIBLE,
     EXIT_OK,
     EXIT_USAGE,
     analyze,
     main,
-    parse_input,
+    parse_args,
 )
-from harmbounds.cmdline import parse_args
+from harmbounds.reader import _CSV_HEADER, parse_input
 
 import argparse_reference
 from report_reference import report_to_json

@@ -207,13 +207,17 @@ TRACED_VERIFY_SPANS = {
     "argv,spans",
     [
         (["example", "--format", "json"], TRACED_SPANS),
+        (["analyze", "--input", str(GOLDEN / "corpus_study.json"), "--format", "json"], TRACED_SPANS),
         (["verify", "--samples", "2", "--seed", "1"], TRACED_VERIFY_SPANS),
     ],
-    ids=["example", "verify"],
+    ids=["example", "analyze", "verify"],
 )
 def test_benchmark_trace_sees_every_layer(argv, spans):
     """A command under the benchmark's own tracer, in a fresh interpreter
-    (the tracer rebinds module globals), records a span for every layer."""
+    (the tracer rebinds module globals), records a span for every layer.
+    On a study, each fused harm-bound span carries its stratum: the tracer
+    registers the strata when `cli.parse_input` returns, and the benchmark's
+    LP-bypass check counts the strata that reach the fused bounds."""
     code = (
         "import contextlib, io, json, sys\n"
         "import traced_run\n"
@@ -221,11 +225,14 @@ def test_benchmark_trace_sees_every_layer(argv, spans):
         "traced_run.install(tracer)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = traced_run.cli.main(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted({span[0] for span in tracer.spans})]))\n"
+        "fused = [span[4] for span in tracer.spans if span[0] == 'bounds.harm_bounds.fused']\n"
+        "print(json.dumps([code, sorted({span[0] for span in tracer.spans}), fused]))\n"
     )
-    code, recorded = json.loads(_run_with_bench(code, argv).stdout)
+    code, recorded, fused_items = json.loads(_run_with_bench(code, argv).stdout)
     assert code == EXIT_OK
     assert spans <= set(recorded), sorted(spans - set(recorded))
+    if spans is TRACED_SPANS:
+        assert fused_items and None not in fused_items, fused_items
 
 
 def _run_with_bench(code: str, argv: list[str]) -> subprocess.CompletedProcess:

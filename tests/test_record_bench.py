@@ -1,9 +1,11 @@
 """tools/record_bench.py, imported from its file: the tier-1 summary parse and the paired runs."""
 
 import importlib.util
+import io
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -65,7 +67,7 @@ def test_pair_with_pairs_every_workload(record_bench, tmp_path, monkeypatch):
 
     monkeypatch.setattr(record_bench, "bench", bench)
     monkeypatch.setattr(record_bench, "tier1", lambda checkout: {"summary": "1 passed in 0.01s"})
-    monkeypatch.setattr(record_bench, "command_s", lambda checkout, argv: 1.0)
+    monkeypatch.setattr(record_bench, "time_command", lambda checkout, argv: (1.0, 16000))
     out = tmp_path / "BENCH.json"
     argv = ["--pr", "0", "--checkout", str(change), "--pair-with", str(base), "--pairs", "3", "--out", str(out)]
     assert record_bench.main(argv) == 0
@@ -128,7 +130,7 @@ def test_src_lines_are_recorded(record_bench, tmp_path, monkeypatch, paired):
     change = _stub_tree(tmp_path / "change", {"cli.py": "a\nb\nc\n", "__init__.py": "", "model.py": "x\ny"})
     base = _stub_tree(tmp_path / "base", {"cli.py": "a\n" * 5, "old.py": "z\n"})
     monkeypatch.setattr(record_bench, "tier1", lambda checkout: {"summary": "1 passed in 0.01s"})
-    monkeypatch.setattr(record_bench, "command_s", lambda checkout, argv: 1.0)
+    monkeypatch.setattr(record_bench, "time_command", lambda checkout, argv: (1.0, 16000))
     out = tmp_path / "BENCH.json"
     argv = ["--pr", "0", "--checkout", str(change), "--out", str(out)]
     assert record_bench.main(argv + (["--pair-with", str(base)] if paired else [])) == 0
@@ -142,7 +144,7 @@ def test_src_lines_are_recorded(record_bench, tmp_path, monkeypatch, paired):
 
 
 class _Clock:
-    """A `perf_counter` that only the fake `subprocess.run` below moves."""
+    """A `perf_counter` that only the fake `os.wait4` below moves."""
 
     def __init__(self):
         self.now = 0.0
@@ -153,30 +155,44 @@ class _Clock:
 
 @pytest.fixture
 def fake_cli(record_bench, monkeypatch):
-    """Replaces `subprocess.run` and the clock of `record_bench`: each CLI
-    call is logged as (tree name, argv, PYTHONPATH) and takes 1.0 s in the
-    change and 1.5 s in the base, plus 0.1 s per earlier call of the same
-    tree and command; a call with "--fail" exits 1."""
-    clock, calls = _Clock(), []
+    """Replaces `subprocess.Popen`, `os.wait4` and the clock of
+    `record_bench`: each CLI call is logged as (tree name, argv, PYTHONPATH)
+    and takes 1.0 s and 16,000 KiB in the change and 1.5 s and 17,000 KiB in
+    the base, plus 0.1 s and 10 KiB per earlier call of the same tree and
+    command; a call with "--fail" exits 1."""
+    clock, calls, children = _Clock(), [], {}
 
-    def run(command, cwd, env, stdout, stderr, text):
-        assert command[:3] == [sys.executable, "-m", "harmbounds.cli"] and stdout == subprocess.DEVNULL
-        tree, argv = Path(cwd).name, command[3:]
-        earlier = sum(call[:2] == (tree, argv) for call in calls)
-        calls.append((tree, argv, env["PYTHONPATH"].split(":")[0]))
+    class Popen:
+        def __init__(self, command, cwd, env, stdout, stderr):
+            assert command[:3] == [sys.executable, "-m", "harmbounds.cli"] and stdout == subprocess.DEVNULL
+            assert stderr == subprocess.PIPE
+            tree, argv = Path(cwd).name, command[3:]
+            earlier = sum(call[:2] == (tree, argv) for call in calls)
+            calls.append((tree, argv, env["PYTHONPATH"].split(":")[0]))
+            self.pid, self.returncode, self.stderr = len(calls), None, io.BytesIO(b"boom")
+            children[self.pid] = tree, earlier, "--fail" in argv
+
+    def wait4(pid, options):
+        assert options == 0
+        tree, earlier, fails = children.pop(pid)
         clock.now += (1.0 if tree == "change" else 1.5) + 0.1 * earlier
-        return subprocess.CompletedProcess(command, 1 if "--fail" in argv else 0, None, "boom")
+        rss = (16_000 if tree == "change" else 17_000) + 10 * earlier
+        return pid, 256 if fails else 0, types.SimpleNamespace(ru_maxrss=rss)
 
-    monkeypatch.setattr(record_bench.subprocess, "run", run)
+    monkeypatch.setattr(record_bench.subprocess, "Popen", Popen)
+    monkeypatch.setattr(record_bench.os, "wait4", wait4)
     monkeypatch.setattr(record_bench, "time", clock)
+    monkeypatch.setattr(record_bench, "COMMAND_REPEATS", 3)
     return calls
 
 
 def test_pair_with_times_the_commands_in_fresh_processes(record_bench, tmp_path, monkeypatch, fake_cli):
-    """With `--pair-with`, each of `COMMANDS` runs as a fresh `python -m
-    harmbounds.cli` in each tree, with that tree's src/ first on PYTHONPATH,
-    in the alternating order of the workload pairs; `pairs.commands` holds
-    both sides' `wall_s` median and quartiles and the pairs the change won."""
+    """With `--pair-with`, each of `COMMANDS` runs COMMAND_REPEATS times as
+    a fresh `python -m harmbounds.cli` per tree and pair, with that tree's
+    src/ first on PYTHONPATH, in the alternating order of the workload pairs;
+    a side's `wall_s` and `ru_maxrss_kib` are the medians of its calls, and
+    `pairs.commands` holds both sides' medians and quartiles of them and the
+    pairs the change won."""
     change = _stub_tree(tmp_path / "change", {"cli.py": ""})
     base = _stub_tree(tmp_path / "base", {"cli.py": ""})
     monkeypatch.setattr(record_bench, "tier1", lambda checkout: {"summary": "1 passed in 0.01s"})
@@ -192,19 +208,39 @@ def test_pair_with_times_the_commands_in_fresh_processes(record_bench, tmp_path,
     assert list(commands) == list(record_bench.COMMANDS)
     order = ["change", "base", "base", "change", "change", "base"]
     assert fake_cli == [
-        (tree, command, str(tmp_path / tree / "src")) for command in record_bench.COMMANDS.values() for tree in order
+        (tree, command, str(tmp_path / tree / "src"))
+        for command in record_bench.COMMANDS.values()
+        for tree in order
+        for _ in range(3)
     ]
     for name, recorded in commands.items():
-        assert recorded["argv"] == record_bench.COMMANDS[name]
+        assert recorded["argv"] == record_bench.COMMANDS[name] and recorded["calls_per_side"] == 3
         assert [run["first"] for run in recorded["runs"]] == ["change", "base", "change"]
-        assert [run["change"]["wall_s"] for run in recorded["runs"]] == pytest.approx([1.0, 1.1, 1.2])
+        first = recorded["runs"][0]["change"]
+        assert [call["wall_s"] for call in first["calls"]] == pytest.approx([1.0, 1.1, 1.2])
+        assert [call["ru_maxrss_kib"] for call in first["calls"]] == [16_000, 16_010, 16_020]
+        assert [run["change"]["wall_s"] for run in recorded["runs"]] == pytest.approx([1.1, 1.4, 1.7])
+        assert [run["change"]["ru_maxrss_kib"] for run in recorded["runs"]] == [16_010, 16_040, 16_070]
         wall_s = recorded["metrics"]["wall_s"]
         assert wall_s["better"] == "lower" and wall_s["change_wins"] == 3
-        assert wall_s["change"]["median"] == pytest.approx(1.1)
-        assert wall_s["base"]["median"] == pytest.approx(1.6)
-        assert wall_s["base"]["quartiles"] == pytest.approx([1.5, 1.7])
+        assert wall_s["change"]["median"] == pytest.approx(1.4)
+        assert wall_s["base"]["median"] == pytest.approx(1.9)
+        assert wall_s["base"]["quartiles"] == pytest.approx([1.6, 2.2])
+        rss = recorded["metrics"]["ru_maxrss_kib"]
+        assert rss["better"] == "lower" and rss["change_wins"] == 3
+        assert (rss["change"]["median"], rss["base"]["median"]) == (16_040, 17_040)
 
 
 def test_a_failing_command_names_itself(record_bench, tmp_path, fake_cli):
     with pytest.raises(SystemExit, match="harmbounds verify --fail failed in .*\n.*boom"):
-        record_bench.command_s(tmp_path, ["verify", "--fail"])
+        record_bench.time_command(tmp_path, ["verify", "--fail"])
+
+
+def test_a_command_is_measured_in_its_own_child(record_bench):
+    """`time_command` reaps the child itself with `os.wait4`, which reports
+    the child's own peak RSS, and refuses a nonzero exit with its stderr."""
+    checkout = RECORD_BENCH.parent.parent
+    wall_s, rss = record_bench.time_command(checkout, ["--help"])
+    assert wall_s > 0 and rss > 1024  # a Python interpreter holds more than 1 MiB
+    with pytest.raises(SystemExit, match="harmbounds verify --samples 0 failed in .*\n.*at least 1"):
+        record_bench.time_command(checkout, ["verify", "--samples", "0"])

@@ -21,9 +21,11 @@ records both sides' median and quartiles and ``change_wins``: the pairs in
 which the checkout did better, in the metric's ``better`` direction (a tie
 counts for neither side).  DIR's ``src_lines`` go under ``pairs`` too.  The
 same K alternating pairs time each of ``COMMANDS``, the end-to-end figures
-that no workload measures, as a fresh ``python -m harmbounds.cli`` process
-in each tree; their ``wall_s`` medians, quartiles and wins go under
-``pairs.commands``.
+that no workload measures, as ``COMMAND_REPEATS`` fresh ``python -m
+harmbounds.cli`` processes in each tree per side of a pair.  A side's
+figures are the medians of its calls' wall time and peak RSS (``ru_maxrss``
+from ``os.wait4``, in KiB), and each call's figures are kept; the medians,
+quartiles and wins go under ``pairs.commands``.
 
 Only the standard library is used; nothing under ``bench/`` is changed.
 """
@@ -47,6 +49,10 @@ COMMANDS = {  # criterion 4 and the demo report, by the name they are recorded u
     "verify_samples_10000": ["verify", "--samples", "10000", "--seed", "42"],
     "example_json": ["example", "--format", "json"],
 }
+# Calls of each command per side of a pair, whose median is recorded: with one call
+# per side, the parent's quartiles were 18-29% of its median apart.
+COMMAND_REPEATS = 5
+COMMAND_METRICS = [{"name": "wall_s", "better": "lower"}, {"name": "ru_maxrss_kib", "better": "lower"}]
 
 
 def _env(checkout: Path) -> dict:
@@ -101,16 +107,31 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) 
     return json.loads(run.stdout.strip().splitlines()[-1])
 
 
-def command_s(checkout: Path, argv: list[str]) -> float:
-    """The wall time of one fresh `python -m harmbounds.cli ARGV` in the checkout; stdout is discarded."""
+def time_command(checkout: Path, argv: list[str]) -> tuple[float, int]:
+    """The wall time and the peak RSS in KiB (`ru_maxrss`) of one fresh
+    `python -m harmbounds.cli ARGV` in the checkout; stdout is discarded."""
     command = [sys.executable, "-m", "harmbounds.cli", *argv]
     began = time.perf_counter()
-    run = subprocess.run(command, cwd=checkout, env=_env(checkout), stdout=subprocess.DEVNULL,
-                         stderr=subprocess.PIPE, text=True)
+    child = subprocess.Popen(command, cwd=checkout, env=_env(checkout), stdout=subprocess.DEVNULL,
+                             stderr=subprocess.PIPE)
+    with child.stderr:
+        stderr = child.stderr.read()
+    _, status, usage = os.wait4(child.pid, 0)
     wall_s = time.perf_counter() - began
-    if run.returncode != 0:
-        raise SystemExit(f"harmbounds {' '.join(argv)} failed in {checkout}:\n{run.stderr[-2000:]}")
-    return wall_s
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, so Popen never waits
+    if child.returncode != 0:
+        raise SystemExit(f"harmbounds {' '.join(argv)} failed in {checkout}:\n{stderr.decode()[-2000:]}")
+    return wall_s, usage.ru_maxrss
+
+
+def command_sample(checkout: Path, argv: list[str]) -> dict:
+    """The median wall time and peak RSS of COMMAND_REPEATS calls of the command, and each call's."""
+    calls = [time_command(checkout, argv) for _ in range(COMMAND_REPEATS)]
+    return {
+        "wall_s": statistics.median(wall_s for wall_s, _ in calls),
+        "ru_maxrss_kib": statistics.median(rss for _, rss in calls),
+        "calls": [{"wall_s": wall_s, "ru_maxrss_kib": rss} for wall_s, rss in calls],
+    }
 
 
 def alternate(change: Path, base: Path, count: int, measure) -> list[dict]:
@@ -210,12 +231,15 @@ def main(argv=None) -> int:
         record["pairs"]["commands"] = {}
         for name, command in COMMANDS.items():
             print(f"{name} pairs ...", flush=True)
-            runs = alternate(checkout, base, args.pairs, lambda tree: {"wall_s": command_s(tree, command)})
-            figures = acceptance(runs, [{"name": "wall_s", "better": "lower"}])
-            record["pairs"]["commands"][name] = {"argv": command, "metrics": figures, "runs": runs}
-            wall_s = figures["wall_s"]
-            print(f"{name}: median wall_s {wall_s['base']['median']:.3f} -> {wall_s['change']['median']:.3f} s; "
-                  f"change wins {wall_s['change_wins']}/{len(runs)}", flush=True)
+            runs = alternate(checkout, base, args.pairs, lambda tree: command_sample(tree, command))
+            figures = acceptance(runs, COMMAND_METRICS)
+            record["pairs"]["commands"][name] = {
+                "argv": command, "calls_per_side": COMMAND_REPEATS, "metrics": figures, "runs": runs,
+            }
+            wall_s, rss = figures["wall_s"], figures["ru_maxrss_kib"]
+            print(f"{name}: median wall_s {wall_s['base']['median']:.3f} -> {wall_s['change']['median']:.3f} s, "
+                  f"ru_maxrss {rss['base']['median']:.0f} -> {rss['change']['median']:.0f} KiB; "
+                  f"change wins {wall_s['change_wins']} and {rss['change_wins']}/{len(runs)}", flush=True)
     out = args.out or checkout / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
